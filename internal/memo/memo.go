@@ -300,10 +300,11 @@ func (c *Cache) DoCtx(ctx context.Context, k Key, compute func() (any, error)) (
 		e.unlink()
 		e.pushMRU(&s.lru)
 		s.hits++
+		v := e.val // store refreshes e.val under s.mu
 		s.mu.Unlock()
 		c.met.hits.Inc()
 		c.emit(obs.KindCacheHit)
-		return e.val, true, nil
+		return v, true, nil
 	}
 	if f, ok := s.inflight[k]; ok {
 		s.coalesced++
@@ -432,10 +433,11 @@ func (c *Cache) Get(k Key) (any, bool) {
 		e.unlink()
 		e.pushMRU(&s.lru)
 		s.hits++
+		v := e.val // store refreshes e.val under s.mu
 		s.mu.Unlock()
 		c.met.hits.Inc()
 		c.emit(obs.KindCacheHit)
-		return e.val, true
+		return v, true
 	}
 	s.misses++
 	s.mu.Unlock()

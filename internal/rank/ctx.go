@@ -2,6 +2,7 @@ package rank
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -51,7 +52,7 @@ type Ctx struct {
 	// Scratch, reused across calls.
 	delta  []int          // longest path finish(v)⇝start(u) per descendant
 	ds     []descendant   // packing entries for the node being ranked
-	occ    [][]int        // per-class occupancy window for packFeasible
+	occ    [][]int        // per-class occupancy window for packSlack
 	pos    []int          // tie-position scratch for list building
 	list   []graph.NodeID // priority-list scratch
 	oneBit graph.Bitset   // single-node changed set for UpdateOne
@@ -221,7 +222,7 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 		}
 		c.unitsFor[cls] = u
 	}
-	// occ rows persist across Resets (packFeasible sizes them lazily); only
+	// occ rows persist across Resets (packSlack sizes them lazily); only
 	// the header grows, and it never shrinks so grown rows stay reusable.
 	for len(c.occ) <= maxClass {
 		c.occ = append(c.occ, nil)
@@ -318,11 +319,19 @@ func (c *Ctx) UpdateOne(ranks, d []int, v graph.NodeID) {
 // rankNode recomputes ranks[v] from d[v] and the current ranks of v's
 // descendants: the per-ancestor step of the Compute sweep.
 func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
-	mem := c.members[v]
-	if len(mem) == 0 {
+	if len(c.members[v]) == 0 {
 		ranks[v] = d[v]
 		return
 	}
+	ds, hi, window := c.packInput(v, d, ranks)
+	ranks[v] = min(c.packSlack(ds, window), hi)
+}
+
+// packInput builds v's descendant packing entries, sorted for packSlack,
+// with hi — d[v] tightened by every descendant's own rank − exec − lat — and
+// the occupancy window the packing needs. v must have descendants.
+func (c *Ctx) packInput(v graph.NodeID, d, ranks []int) (ds []descendant, hi, window int) {
+	mem := c.members[v]
 	view := &c.view
 	delta := c.delta
 	// delta(u) = max over distance-0 in-edges (p → u) with p ∈ {v} ∪
@@ -352,7 +361,7 @@ func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
 			}
 		}
 	}
-	ds := c.ds[:0]
+	ds = c.ds[:0]
 	for _, u := range mem {
 		ds = append(ds, descendant{
 			rank:  ranks[u],
@@ -367,41 +376,18 @@ func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
 	// (latency) then topological position so the order is a deterministic
 	// total order shared with the reference implementation.
 	slices.SortFunc(ds, compareDescendants)
-	// Necessary upper bounds narrow the search range.
-	hi := d[v]
+	// Necessary upper bounds cap the rank.
+	hi = d[v]
 	total, maxLat, maxExec := 0, 0, 0
 	for _, u := range ds {
 		if b := u.rank - u.exec - u.lat; b < hi {
 			hi = b
 		}
 		total += u.exec
-		if u.lat > maxLat {
-			maxLat = u.lat
-		}
-		if u.exec > maxExec {
-			maxExec = u.exec
-		}
+		maxLat = max(maxLat, u.lat)
+		maxExec = max(maxExec, u.exec)
 	}
-	// Earliest-fit never places past lat + sum(exec), so this window bounds
-	// every occupancy index the packing can touch.
-	window := total + maxLat + maxExec + 4
-	// At lo the releases leave ample slack below every deadline, so
-	// infeasibility at lo means the descendants' ranks conflict on their own
-	// (no completion time of v can help).
-	lo := hi - 2*(total+maxLat+2)
-	if !c.packFeasible(ds, lo, window) {
-		ranks[v] = lo // hopelessly infeasible; surfaces as rank < exec
-		return
-	}
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if c.packFeasible(ds, mid, window) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	ranks[v] = lo
+	return ds, hi, total + maxLat + maxExec + 4
 }
 
 // compareDescendants orders packing entries by nondecreasing rank, ties by
@@ -418,15 +404,20 @@ func compareDescendants(a, b descendant) int {
 	return a.pos - b.pos
 }
 
-// packFeasible reports whether all descendants (sorted by nondecreasing
-// rank) can be placed when their ancestor completes at time at: each is
-// placed at the earliest free position ≥ at + lat on its class pool and must
-// finish by its rank. Occupancy is tracked in per-class slice windows
-// indexed by t − at + 1 (the +1 absorbs a defensive −1 release), reused and
-// cleared across calls — the one-shot implementation allocated two maps per
-// feasibility probe. Exact for unit execution times (EDF exchange argument);
+// packSlack places the descendants (sorted by nondecreasing rank) at the
+// earliest free position ≥ at + lat on their class pool, in per-class
+// occupancy rows indexed by t − at + 1 (the +1 absorbs a defensive −1
+// release) and reused across calls. No index depends on the ancestor's
+// completion time at, so one placement serves every at: it is feasible
+// exactly for at ≤ min over u of rank(u) − (start(u) − 1) − exec(u), which
+// is returned. Exact for unit execution times (EDF exchange argument);
 // earliest-fit heuristic for longer instructions.
-func (c *Ctx) packFeasible(ds []descendant, at, window int) bool {
+//
+// From maxLat on, occupancy never increases with t (earliest-fit only
+// extends the full prefix), so u starts by maxLat + total − exec(u), within
+// window, and the result is at least hi − (maxLat + total − 1): above the
+// floor 2·(total + maxLat + 2) below hi of ReferenceCompute's bisection.
+func (c *Ctx) packSlack(ds []descendant, window int) int {
 	for cls := range c.occ {
 		clear(c.occ[cls])
 	}
@@ -435,6 +426,7 @@ func (c *Ctx) packFeasible(ds []descendant, at, window int) bool {
 			c.occ[u.class] = make([]int, window)
 		}
 	}
+	slack := math.MaxInt
 	for _, u := range ds {
 		units := c.unitsFor[u.class]
 		occ := c.occ[u.class]
@@ -453,15 +445,15 @@ func (c *Ctx) packFeasible(ds []descendant, at, window int) bool {
 			}
 			break
 		}
-		if at+(start-1)+u.exec > u.rank {
-			return false
+		if s := u.rank - (start - 1) - u.exec; s < slack {
+			slack = s
 		}
 		for t := start; t < start+u.exec; t++ {
 			occ[t]++
 		}
 		c.occ[u.class] = occ
 	}
-	return true
+	return slack
 }
 
 // RunRanks greedily schedules in nondecreasing rank order (the second half

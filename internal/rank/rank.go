@@ -9,6 +9,8 @@
 // under deadlines). For general machines (§4.2) the same computation is a
 // heuristic: ranks are derived by inserting each descendant whole into a
 // per-class backward schedule at the latest time no later than its rank.
+// Each rank costs one earliest-fit packing of the node's descendants, whose
+// placement does not depend on the node's completion time (see Compute).
 //
 // The engine is built around Ctx, a reusable per-graph context that caches
 // the topological order, descendant closure and packing scratch, and that
@@ -16,8 +18,8 @@
 // package-level Compute/Run helpers build a throwaway context; hot paths
 // (Delay_Idle_Slots, Algorithm Lookahead, the loop candidate search) hold
 // one Ctx per graph and reuse it across every re-rank. ReferenceCompute and
-// ReferenceRun retain the original one-shot implementation as the oracle for
-// differential tests.
+// ReferenceRun retain the original one-shot implementation, which bisects
+// over packing probes, as the independent oracle for differential tests.
 package rank
 
 import (
@@ -51,11 +53,14 @@ func UniformDeadlines(n, d int) []int {
 // start no earlier than c + delta(v,u), where delta is the longest
 // dependence path from v's completion to u's start (sum of intermediate
 // execution times and latencies), and the descendants must fit one per
-// functional unit of their class at any time. Feasibility of a candidate c
-// is tested with an EDF-style earliest-fit placement (exact for unit
-// execution times; a faithful heuristic for the general machines of §4.2),
-// and c is found by binary search — feasibility is monotone in c. This
-// reproduces every rank value printed in the paper's §2 examples.
+// functional unit of their class at any time. Feasibility is tested with an
+// EDF-style earliest-fit placement (exact for unit execution times; a
+// faithful heuristic for the general machines of §4.2). The placement is
+// relative to c, so one packing serves every candidate: c is feasible
+// exactly when c ≤ B = min over u of rank(u) − start(u) − exec(u), start
+// measured from c, and rank(v) = min(B, hi), where hi tightens d(v) by
+// every rank(u) − exec(u) − delta(v,u). This reproduces every rank value
+// printed in the paper's §2 examples.
 //
 // Compute builds a throwaway Ctx; callers ranking the same graph repeatedly
 // should hold their own.
