@@ -16,11 +16,11 @@ import (
 
 // Ctx is a reusable rank-computation context for one graph view and machine.
 // It caches every per-graph invariant the Rank Algorithm needs — topological
-// order and positions, descendant bitsets, per-node descendant lists
-// pre-sorted by topological position, effective unit classes — and owns the
-// scratch buffers (longest-path deltas, descendant packing entries,
-// slice-based occupancy windows, list-building arrays, a reusable greedy
-// list scheduler) that the one-shot API used to reallocate on every call.
+// order and positions, descendant bitsets, per-node packing runs of the
+// descendants with their longest-path latencies, effective unit classes —
+// and owns the scratch buffers (longest-path deltas, slice-based occupancy
+// windows, list-building arrays, a reusable greedy list scheduler) that the
+// one-shot API used to reallocate on every call.
 //
 // All per-graph analysis arrays are carved from a context-owned arena, so
 // Reset rebinds the context to a new graph view without allocating once the
@@ -39,19 +39,25 @@ type Ctx struct {
 	m    *machine.Machine
 	view graph.AdjView
 
-	ar arena.Arena // backs all per-Reset analysis and scratch below
+	ar   arena.Arena       // backs all per-Reset analysis and scratch below
+	ents arena.Slab[entry] // backs runs
 
-	order   []graph.NodeID   // topological order over distance-0 edges
-	topoPos []int            // topoPos[v] = index of v in order
-	desc    []graph.Bitset   // distance-0 transitive successors per node
-	members [][]graph.NodeID // desc[v] as a list sorted by topological position
+	order   []graph.NodeID // topological order over distance-0 edges
+	topoPos []int          // topoPos[v] = index of v in order
+	desc    []graph.Bitset // distance-0 transitive successors per node
+	// runs[v] holds desc[v] as packing entries. Until v's first rankNode of
+	// the binding (filled[v] unset) the run is in topological order with
+	// lat unset; the fill runs the longest-path DP once and sorts the run,
+	// and every later rankNode only re-sorts it under the current ranks.
+	runs   [][]entry
+	filled graph.Bitset
+	fills  int // entry fills (longest-path DP runs) of this binding
 
 	class    []int // effective unit class per node (0 on single-unit machines)
 	unitsFor []int // usable units per effective class (0 mapped to 1)
 
 	// Scratch, reused across calls.
 	delta  []int          // longest path finish(v)⇝start(u) per descendant
-	ds     []descendant   // packing entries for the node being ranked
 	occ    [][]int        // per-class occupancy window for packSlack
 	pos    []int          // tie-position scratch for list building
 	list   []graph.NodeID // priority-list scratch
@@ -115,7 +121,9 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	c.g, c.m, c.view = g, m, view
 	c.budget = nil
 	c.source = nil
+	c.fills = 0
 	c.ar.Reset()
+	c.ents.Reset()
 	n := view.N
 
 	ints := &c.ar.Ints
@@ -127,6 +135,7 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	c.order = ids.Alloc(n)
 	c.list = ids.Alloc(n)
 	c.oneBit = c.ar.Bitset(n)
+	c.filled = c.ar.Bitset(n)
 	c.desc = c.ar.BitsetRows(c.desc, n)
 
 	// Topological sort over the flat adjacency (same sorted-insert frontier
@@ -183,20 +192,20 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	for v := 0; v < n; v++ {
 		total += c.desc[v].Count()
 	}
-	backing := ids.Alloc(total)
-	if cap(c.members) < n {
-		c.members = make([][]graph.NodeID, n)
+	backing := c.ents.Alloc(total)
+	if cap(c.runs) < n {
+		c.runs = make([][]entry, n)
 	}
-	c.members = c.members[:n]
+	c.runs = c.runs[:n]
 	k := 0
 	for v := 0; v < n; v++ {
 		start := k
-		c.desc[v].ForEach(func(u int) { backing[k] = graph.NodeID(u); k++ })
-		mem := backing[start:k:k]
+		c.desc[v].ForEach(func(u int) { backing[k].u = int32(u); k++ })
+		run := backing[start:k:k]
 		// Topological positions are a permutation, so this sort has no ties
 		// and any sorting algorithm yields the same deterministic order.
-		slices.SortFunc(mem, func(a, b graph.NodeID) int { return c.topoPos[a] - c.topoPos[b] })
-		c.members[v] = mem
+		slices.SortFunc(run, func(a, b entry) int { return c.topoPos[a.u] - c.topoPos[b.u] })
+		c.runs[v] = run
 	}
 
 	maxClass := 0
@@ -280,7 +289,7 @@ func (c *Ctx) ComputeInto(ranks, d []int) error {
 	copy(ranks, d)
 	for i := n - 1; i >= 0; i-- {
 		v := c.order[i]
-		if len(c.members[v]) != 0 {
+		if len(c.runs[v]) != 0 {
 			c.rankNode(v, d, ranks)
 		}
 	}
@@ -319,27 +328,65 @@ func (c *Ctx) UpdateOne(ranks, d []int, v graph.NodeID) {
 // rankNode recomputes ranks[v] from d[v] and the current ranks of v's
 // descendants: the per-ancestor step of the Compute sweep.
 func (c *Ctx) rankNode(v graph.NodeID, d, ranks []int) {
-	if len(c.members[v]) == 0 {
+	if len(c.runs[v]) == 0 {
 		ranks[v] = d[v]
 		return
 	}
-	ds, hi, window := c.packInput(v, d, ranks)
-	ranks[v] = min(c.packSlack(ds, window), hi)
+	run, hi, window := c.packInput(v, d, ranks)
+	ranks[v] = min(c.packSlack(run, ranks, window), hi)
 }
 
-// packInput builds v's descendant packing entries, sorted for packSlack,
-// with hi — d[v] tightened by every descendant's own rank − exec − lat — and
-// the occupancy window the packing needs. v must have descendants.
-func (c *Ctx) packInput(v graph.NodeID, d, ranks []int) (ds []descendant, hi, window int) {
-	mem := c.members[v]
+// entry is one descendant u in a node's packing run, with lat, the longest
+// dependence path from the node's completion to u's start (intermediate
+// execution times plus latencies). Together with the graph-only exec and
+// class of u and the current rank of u it is the descendant of the rank
+// feasibility test.
+type entry struct {
+	u   int32
+	lat int32
+}
+
+// packInput returns v's packing run sorted for packSlack under the current
+// ranks, with hi — d[v] tightened by every descendant's own rank − exec −
+// lat — and the occupancy window the packing needs. v must have
+// descendants.
+func (c *Ctx) packInput(v graph.NodeID, d, ranks []int) (run []entry, hi, window int) {
+	run = c.runs[v]
+	if c.filled.Has(int(v)) {
+		c.resort(run, ranks)
+	} else {
+		c.fill(v, run, ranks)
+	}
+	// Necessary upper bounds cap the rank.
+	hi = d[v]
+	exec := c.view.Exec
+	total, maxLat, maxExec := 0, 0, 0
+	for _, e := range run {
+		x, lat := int(exec[e.u]), int(e.lat)
+		if b := ranks[e.u] - x - lat; b < hi {
+			hi = b
+		}
+		total += x
+		maxLat = max(maxLat, lat)
+		maxExec = max(maxExec, x)
+	}
+	return run, hi, total + maxLat + maxExec + 4
+}
+
+// fill computes the lat of every entry of v's run, still in topological
+// order, then sorts the run for packSlack. It runs once per node per
+// binding: lat depends only on the graph.
+func (c *Ctx) fill(v graph.NodeID, run []entry, ranks []int) {
+	c.fills++
+	c.filled.Set(int(v))
 	view := &c.view
 	delta := c.delta
 	// delta(u) = max over distance-0 in-edges (p → u) with p ∈ {v} ∪
 	// descendants(v) of (0 if p==v else delta(p)+exec(p)) + latency.
 	// Evaluated in global topological order restricted to descendants. The
 	// view only holds distance-0 edges, so no distance filtering is needed.
-	for _, u := range mem {
-		delta[u] = -1
+	for _, e := range run {
+		delta[e.u] = -1
 	}
 	dv := c.desc[v]
 	for e := view.Off[v]; e < view.Off[v+1]; e++ {
@@ -348,7 +395,8 @@ func (c *Ctx) packInput(v graph.NodeID, d, ranks []int) (ds []descendant, hi, wi
 			delta[dst] = lat
 		}
 	}
-	for _, u := range mem {
+	for _, en := range run {
+		u := en.u
 		du := delta[u]
 		exec := int(view.Exec[u])
 		for e := view.Off[u]; e < view.Off[u+1]; e++ {
@@ -361,33 +409,49 @@ func (c *Ctx) packInput(v graph.NodeID, d, ranks []int) (ds []descendant, hi, wi
 			}
 		}
 	}
-	ds = c.ds[:0]
-	for _, u := range mem {
-		ds = append(ds, descendant{
-			rank:  ranks[u],
-			exec:  int(view.Exec[u]),
-			class: c.class[u],
-			lat:   delta[u],
-			pos:   c.topoPos[u],
-		})
+	for i := range run {
+		run[i].lat = int32(delta[run[i].u])
 	}
-	c.ds = ds[:0] // keep the (possibly grown) backing array
-	// EDF exactness wants nondecreasing rank order; break ties by release
-	// (latency) then topological position so the order is a deterministic
-	// total order shared with the reference implementation.
-	slices.SortFunc(ds, compareDescendants)
-	// Necessary upper bounds cap the rank.
-	hi = d[v]
-	total, maxLat, maxExec := 0, 0, 0
-	for _, u := range ds {
-		if b := u.rank - u.exec - u.lat; b < hi {
-			hi = b
+	// The run is in topological order, far from rank order: a full sort.
+	c.sortRun(run, ranks)
+}
+
+// resort restores the packing order of a run after its descendants' ranks
+// changed. Re-ranks move a few ranks at a time, so the run is nearly sorted
+// and insertion sort is about linear; past a budget of moves it hands over
+// to a full sort. The order is total, so both yield the same run.
+func (c *Ctx) resort(run []entry, ranks []int) {
+	budget := 2 * len(run)
+	for i := 1; i < len(run); i++ {
+		x := run[i]
+		j := i
+		for j > 0 && c.compareEntries(x, run[j-1], ranks) < 0 {
+			run[j] = run[j-1]
+			j--
 		}
-		total += u.exec
-		maxLat = max(maxLat, u.lat)
-		maxExec = max(maxExec, u.exec)
+		run[j] = x
+		if budget -= i - j; budget < 0 {
+			c.sortRun(run, ranks)
+			return
+		}
 	}
-	return ds, hi, total + maxLat + maxExec + 4
+}
+
+// sortRun sorts a run into packing order from scratch.
+func (c *Ctx) sortRun(run []entry, ranks []int) {
+	slices.SortFunc(run, func(a, b entry) int { return c.compareEntries(a, b, ranks) })
+}
+
+// compareEntries is compareDescendants on packing entries: nondecreasing
+// rank, ties by larger lat, then by topological position.
+func (c *Ctx) compareEntries(a, b entry, ranks []int) int {
+	if ra, rb := ranks[a.u], ranks[b.u]; ra != rb {
+		return ra - rb
+	}
+	if a.lat != b.lat {
+		return int(b.lat) - int(a.lat)
+	}
+	return c.topoPos[a.u] - c.topoPos[b.u]
 }
 
 // compareDescendants orders packing entries by nondecreasing rank, ties by
@@ -404,10 +468,10 @@ func compareDescendants(a, b descendant) int {
 	return a.pos - b.pos
 }
 
-// packSlack places the descendants (sorted by nondecreasing rank) at the
-// earliest free position ≥ at + lat on their class pool, in per-class
-// occupancy rows indexed by t − at + 1 (the +1 absorbs a defensive −1
-// release) and reused across calls. No index depends on the ancestor's
+// packSlack places the run's descendants, in packing order (nondecreasing
+// rank, see compareDescendants), at the earliest free position ≥ at + lat
+// on their class pool, in per-class occupancy rows indexed by t − at + 1
+// (the +1 absorbs a defensive −1 release) and reused across calls. No index depends on the ancestor's
 // completion time at, so one placement serves every at: it is feasible
 // exactly for at ≤ min over u of rank(u) − (start(u) − 1) − exec(u), which
 // is returned. Exact for unit execution times (EDF exchange argument);
@@ -417,23 +481,24 @@ func compareDescendants(a, b descendant) int {
 // extends the full prefix), so u starts by maxLat + total − exec(u), within
 // window, and the result is at least hi − (maxLat + total − 1): above the
 // floor 2·(total + maxLat + 2) below hi of ReferenceCompute's bisection.
-func (c *Ctx) packSlack(ds []descendant, window int) int {
+func (c *Ctx) packSlack(run []entry, ranks []int, window int) int {
 	for cls := range c.occ {
 		clear(c.occ[cls])
 	}
-	for _, u := range ds {
-		if len(c.occ[u.class]) < window {
-			c.occ[u.class] = make([]int, window)
+	for _, e := range run {
+		if cls := c.class[e.u]; len(c.occ[cls]) < window {
+			c.occ[cls] = make([]int, window)
 		}
 	}
 	slack := math.MaxInt
-	for _, u := range ds {
-		units := c.unitsFor[u.class]
-		occ := c.occ[u.class]
-		start := u.lat + 1 // index of absolute time at + u.lat
+	for _, e := range run {
+		cls, exec := c.class[e.u], int(c.view.Exec[e.u])
+		units := c.unitsFor[cls]
+		occ := c.occ[cls]
+		start := int(e.lat) + 1 // index of absolute time at + lat
 	place:
 		for {
-			end := start + u.exec
+			end := start + exec
 			for end > len(occ) {
 				occ = append(occ, 0)
 			}
@@ -445,13 +510,13 @@ func (c *Ctx) packSlack(ds []descendant, window int) int {
 			}
 			break
 		}
-		if s := u.rank - (start - 1) - u.exec; s < slack {
+		if s := ranks[e.u] - (start - 1) - exec; s < slack {
 			slack = s
 		}
-		for t := start; t < start+u.exec; t++ {
+		for t := start; t < start+exec; t++ {
 			occ[t]++
 		}
-		c.occ[u.class] = occ
+		c.occ[cls] = occ
 	}
 	return slack
 }

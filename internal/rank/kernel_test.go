@@ -60,11 +60,12 @@ func TestPackSlackMatchesReferenceBisection(t *testing.T) {
 		ranks := append([]int(nil), d...)
 		for i := len(c.order) - 1; i >= 0; i-- {
 			v := c.order[i]
-			if len(c.members[v]) == 0 {
+			if len(c.runs[v]) == 0 {
 				continue
 			}
-			ds, hi, window := c.packInput(v, d, ranks)
-			b := c.packSlack(ds, window)
+			run, hi, window := c.packInput(v, d, ranks)
+			b := c.packSlack(run, ranks, window)
+			ds := c.descendants(run, ranks)
 			for at := b - 3; at <= b+3; at++ {
 				if got := referencePackFeasible(ds, m, at); got != (at <= b) {
 					t.Fatalf("seed %d on %s, node %d: slack %d but reference feasibility at %d is %v",
@@ -107,6 +108,89 @@ func TestPackSlackMatchesReferenceBisection(t *testing.T) {
 	if capped == 0 || packed == 0 {
 		t.Fatalf("clamp coverage: slack ≥ hi %d times, slack < hi %d times; want both > 0", capped, packed)
 	}
+}
+
+// TestCtxReuseAcrossBindings Resets one context onto a sequence of graphs
+// that grow and shrink, across all three machines, and on each binding
+// interleaves ComputeInto, UpdateOne, Update and a ComputeInto under fresh
+// deadlines, comparing every rank vector to ReferenceCompute: packing runs
+// filled under one binding, or sorted under one deadline vector, must never
+// leak into the next.
+func TestCtxReuseAcrossBindings(t *testing.T) {
+	machines := diffMachines()
+	c := NewReusable()
+	sizes := []int{6, 24, 3, 40, 9, 1, 33, 12, 48, 2, 17, 30, 5, 44, 8}
+	for round := 0; round < 4; round++ {
+		for i, n := range sizes {
+			seed := int64(round*len(sizes) + i)
+			r := rand.New(rand.NewSource(seed))
+			dm := machines[seed%int64(len(machines))]
+			m := dm.m
+			g := randomKernelDAG(r, n, 0.1+0.4*r.Float64(), dm.classes)
+			if err := c.Reset(graph.NewCSR(g).View(), m, g); err != nil {
+				t.Fatalf("seed %d: Reset: %v", seed, err)
+			}
+			check := func(what string, d, got []int) {
+				t.Helper()
+				want, err := ReferenceCompute(g, m, d)
+				if err != nil {
+					t.Fatalf("seed %d: reference: %v", seed, err)
+				}
+				if !sameInts(got, want) {
+					t.Fatalf("seed %d (n=%d) on %s, %s: ranks differ\n ctx %v\n ref %v", seed, n, m.Name, what, got, want)
+				}
+			}
+			d := tightDeadlines(r, n)
+			ranks := make([]int, n)
+			if err := c.ComputeInto(ranks, d); err != nil {
+				t.Fatalf("seed %d: ComputeInto: %v", seed, err)
+			}
+			check("ComputeInto", d, ranks)
+			for k := 0; k < 6; k++ {
+				v := graph.NodeID(r.Intn(n))
+				d[v] -= 1 + r.Intn(3)
+				c.UpdateOne(ranks, d, v)
+				check("UpdateOne", d, ranks)
+				changed := graph.NewBitset(n)
+				for j := 0; j < 1+r.Intn(3); j++ {
+					u := r.Intn(n)
+					d[u] += r.Intn(5) - 2
+					changed.Set(u)
+				}
+				c.Update(ranks, d, changed)
+				check("Update", d, ranks)
+			}
+			// Fresh deadline vectors reorder the runs wholesale, past the
+			// insertion-sort budget: loose ones, where the packing decides
+			// every rank, then tight ones again.
+			for _, fresh := range []string{"loose", "tight"} {
+				d = tightDeadlines(r, n)
+				if fresh == "loose" {
+					for v := range d {
+						d[v] += Big / 2
+					}
+				}
+				if err := c.ComputeInto(ranks, d); err != nil {
+					t.Fatalf("seed %d: ComputeInto: %v", seed, err)
+				}
+				check("ComputeInto under fresh "+fresh+" deadlines", d, ranks)
+			}
+			if fills := c.Fills(); fills > n {
+				t.Fatalf("seed %d: %d entry fills for %d nodes in one binding", seed, fills, n)
+			}
+		}
+	}
+}
+
+// descendants expands a packing run into the reference's descendant
+// entries, in the run's order.
+func (c *Ctx) descendants(run []entry, ranks []int) []descendant {
+	ds := make([]descendant, len(run))
+	for i, e := range run {
+		ds[i] = descendant{rank: ranks[e.u], exec: int(c.view.Exec[e.u]),
+			class: c.class[e.u], lat: int(e.lat), pos: c.topoPos[e.u]}
+	}
+	return ds
 }
 
 // decodeKernelInstance decodes fuzz bytes into a rank-kernel instance:

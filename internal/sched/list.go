@@ -2,15 +2,19 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"aisched/internal/graph"
 	"aisched/internal/machine"
 )
 
-// ListSchedule runs the greedy list scheduler: at each cycle, scan the
+// ListSchedule runs the greedy list scheduler: at each cycle t, walk the
 // priority list front to back and start every ready instruction for which a
 // functional unit of its class is free. An instruction is ready at cycle t
 // when every distance-0 predecessor u satisfies finish(u) + latency ≤ t.
+// The implementation is event-driven (see ListScheduler.Run): it visits only
+// the cycles at which an instruction becomes ready or a unit frees, and
+// walks only the ready instructions, in priority order.
 //
 // This single routine serves three roles in the paper:
 //   - step 3 of the Rank Algorithm (greedy scheduling of the rank-ordered
@@ -71,13 +75,23 @@ type ListScheduler struct {
 	earliest  []int
 	remaining []int
 	unitFree  []int
-	seen      []bool
+	// ppos[v] is v's position in the priority list of the current run.
+	// ready holds the positions of the nodes that may start at the visited
+	// cycle; waiting is a min-heap, keyed by earliest, of the released
+	// nodes whose earliest start is still ahead.
+	ppos    []int32
+	ready   graph.Bitset
+	waiting []int32
 	// rel, when non-nil, holds per-node release times seeding earliest at
 	// the start of every run (see SetRelease).
 	rel []int
 	// ubase/ucount cache unitBase per class present in the view.
 	ubase  []int
 	ucount []int
+
+	// visits and examined count the cycles the last Run visited and the
+	// ready entries it examined: the work bounds its tests pin.
+	visits, examined int
 }
 
 // NewListScheduler validates that g's loop-independent subgraph is acyclic
@@ -92,7 +106,7 @@ func NewListScheduler(g *graph.Graph, m *machine.Machine) (*ListScheduler, error
 // NewListSchedulerAcyclic is NewListScheduler for callers that have already
 // established that g's loop-independent subgraph is acyclic (typically by
 // computing a topological order), skipping the redundant validation pass.
-// Run on a cyclic graph never terminates; use NewListScheduler when in doubt.
+// Run on a cyclic graph fails once no node is left to release.
 func NewListSchedulerAcyclic(g *graph.Graph, m *machine.Machine) *ListScheduler {
 	ls := &ListScheduler{}
 	ls.Reset(graph.NewCSR(g).View(), m, g)
@@ -112,15 +126,20 @@ func (ls *ListScheduler) Reset(view graph.AdjView, m *machine.Machine, g *graph.
 	ls.rel = nil
 
 	if cap(ls.indeg) < n {
-		ls.indeg = make([]int, n)
-		ls.earliest = make([]int, n)
-		ls.remaining = make([]int, n)
-		ls.seen = make([]bool, n)
+		// One block for the three per-node counters.
+		counters := make([]int, 3*n)
+		ls.indeg = counters[:n:n]
+		ls.earliest = counters[n : 2*n : 2*n]
+		ls.remaining = counters[2*n:]
+		ls.ppos = make([]int32, n)
+		ls.ready = graph.NewBitset(n)
+		ls.waiting = make([]int32, 0, n)
 	}
 	ls.indeg = ls.indeg[:n]
 	ls.earliest = ls.earliest[:n]
 	ls.remaining = ls.remaining[:n]
-	ls.seen = ls.seen[:n]
+	ls.ppos = ls.ppos[:n]
+	ls.ready = ls.ready[:(n+63)/64]
 	clear(ls.indeg)
 	for _, d := range ls.dst[:view.Off[n]] {
 		ls.indeg[d]++
@@ -161,18 +180,34 @@ func (ls *ListScheduler) SetRelease(rel []int) { ls.rel = rel }
 
 // Run greedily schedules the priority list (see ListSchedule). Only the
 // returned Schedule is freshly allocated; all bookkeeping is reused.
+//
+// Run is event-driven. A node is released when its last predecessor is
+// placed and waits in a heap until its earliest start arrives; it is then
+// ready, recorded by priority position in a bitset. Each visited cycle
+// moves the due nodes to ready and walks ready in priority order, placing
+// every node whose class has a free unit, until no unit is free. The next
+// visited cycle is the first pending earliest start or, while nodes stay
+// ready, the first time a busy unit frees. This is exactly the cycle-by-
+// cycle scan of the whole list: execution times are ≥ 1 and latencies ≥ 0,
+// so a node placed at t never makes another node ready at t, and nothing a
+// scan could place changes between two visited cycles. Every visited cycle
+// after the first is an earliest start or a unit's finish time, so a run
+// visits at most 2n+1 cycles and costs O((n + e) log n + n·units), plus
+// the ready entries a multi-class machine skips while their units are busy.
 func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 	n := ls.n
 	if len(priority) != n {
 		return nil, fmt.Errorf("sched: priority list has %d entries for %d nodes", len(priority), n)
 	}
-	seen := ls.seen
-	clear(seen)
-	for _, id := range priority {
-		if id < 0 || int(id) >= n || seen[id] {
+	ppos := ls.ppos
+	for i := range ppos {
+		ppos[i] = -1
+	}
+	for i, id := range priority {
+		if id < 0 || int(id) >= n || ppos[id] >= 0 {
 			return nil, fmt.Errorf("sched: priority list is not a permutation (node %d)", id)
 		}
-		seen[id] = true
+		ppos[id] = int32(i)
 	}
 
 	s := &Schedule{G: ls.g, M: ls.m, Start: make([]int, n), Unit: make([]int, n), exec: ls.exec}
@@ -180,9 +215,8 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 		s.Start[i] = Unassigned
 		s.Unit[i] = Unassigned
 	}
-	// earliest[v]: max over scheduled preds of finish+latency, floored at
-	// the release time when one is set; -1 per unsatisfied pred is tracked
-	// via remaining count.
+	// earliest[v]: max over placed preds of finish+latency, floored at the
+	// release time when one is set; remaining[v] counts unplaced preds.
 	earliest := ls.earliest
 	if ls.rel != nil {
 		if len(ls.rel) != n {
@@ -197,20 +231,47 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 	// unitFree[u]: cycle at which global unit u becomes free.
 	unitFree := ls.unitFree
 	clear(unitFree)
+	ready := ls.ready
+	clear(ready)
+	waiting := ls.waiting[:0]
+	nready := 0
+	// noUnit is the lowest priority position of a ready node whose class
+	// has no units; the scan would reach it in the cycle it became ready.
+	noUnit := -1
+	for v := 0; v < n; v++ {
+		if remaining[v] == 0 {
+			waiting = pushWaiting(waiting, earliest, int32(v))
+		}
+	}
 
-	scheduled := 0
-	for t := 0; scheduled < n; t++ {
-		progress := false
-		for _, id := range priority {
-			v := int(id)
-			if s.Start[v] != Unassigned || remaining[v] > 0 || earliest[v] > t {
-				continue
+	ls.visits, ls.examined = 0, 0
+	for t, scheduled := 0, 0; scheduled < n; {
+		ls.visits++
+		for len(waiting) > 0 && earliest[waiting[0]] <= t {
+			v := waiting[0]
+			waiting = popWaiting(waiting, earliest)
+			p := int(ppos[v])
+			ready.Set(p)
+			nready++
+			if ls.ucount[ls.class[v]] == 0 && (noUnit < 0 || p < noUnit) {
+				noUnit = p
 			}
+		}
+		if noUnit >= 0 {
+			v := priority[noUnit]
+			return nil, fmt.Errorf("sched: node %d (%s) has class %d with no units",
+				v, ls.labels[v], ls.class[v])
+		}
+		free := 0
+		for _, f := range unitFree {
+			if f <= t {
+				free++
+			}
+		}
+		for p := ready.NextSet(0); p >= 0 && free > 0; p = ready.NextSet(p + 1) {
+			ls.examined++
+			v := int(priority[p])
 			base, count := ls.ubase[ls.class[v]], ls.ucount[ls.class[v]]
-			if count == 0 {
-				return nil, fmt.Errorf("sched: node %d (%s) has class %d with no units",
-					v, ls.labels[v], ls.class[v])
-			}
 			unit := -1
 			for u := base; u < base+count; u++ {
 				if unitFree[u] <= t {
@@ -221,53 +282,87 @@ func (ls *ListScheduler) Run(priority []graph.NodeID) (*Schedule, error) {
 			if unit < 0 {
 				continue
 			}
+			ready.Clear(p)
+			nready--
+			free--
 			s.Start[v] = t
 			s.Unit[v] = unit
 			fin := t + int(ls.exec[v])
 			unitFree[unit] = fin
 			scheduled++
-			progress = true
 			for e := ls.off[v]; e < ls.off[v+1]; e++ {
 				d := ls.dst[e]
-				remaining[d]--
 				if r := fin + int(ls.lat[e]); r > earliest[d] {
 					earliest[d] = r
 				}
+				if remaining[d]--; remaining[d] == 0 {
+					waiting = pushWaiting(waiting, earliest, int32(d))
+				}
 			}
 		}
-		// Fast-forward over guaranteed-idle stretches to keep the loop
-		// O(makespan) rather than cycle-perfect scanning: if nothing was
-		// issued, jump to the next time anything can change.
-		if !progress && scheduled < n {
-			next := -1
-			for _, id := range priority {
-				v := int(id)
-				if s.Start[v] != Unassigned || remaining[v] > 0 {
-					continue
-				}
-				cand := earliest[v]
-				base, count := ls.ubase[ls.class[v]], ls.ucount[ls.class[v]]
-				// earliest unit availability for this class
-				uf := -1
-				for u := base; u < base+count; u++ {
-					if uf == -1 || unitFree[u] < uf {
-						uf = unitFree[u]
-					}
-				}
-				if uf > cand {
-					cand = uf
-				}
-				if next == -1 || cand < next {
-					next = cand
-				}
-			}
-			if next <= t {
-				next = t + 1
-			}
-			t = next - 1 // loop increment brings it to `next`
+		next := math.MaxInt
+		if len(waiting) > 0 {
+			next = earliest[waiting[0]]
 		}
+		if nready > 0 {
+			for _, f := range unitFree {
+				if f > t && f < next {
+					next = f
+				}
+			}
+		}
+		if next == math.MaxInt && scheduled < n {
+			return nil, fmt.Errorf("sched: loop-independent subgraph is cyclic (%d of %d nodes scheduled)", scheduled, n)
+		}
+		t = next
 	}
 	return s, nil
+}
+
+// pushWaiting adds v to the min-heap h keyed by earliest. h never outgrows
+// its capacity n: a node is released once per run.
+func pushWaiting(h []int32, earliest []int, v int32) []int32 {
+	h = append(h, v)
+	key := earliest[v]
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if earliest[h[p]] <= key {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = v
+	return h
+}
+
+// popWaiting removes the root of the min-heap h keyed by earliest.
+func popWaiting(h []int32, earliest []int) []int32 {
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	n := len(h)
+	if n == 0 {
+		return h
+	}
+	key := earliest[last]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && earliest[h[c+1]] < earliest[h[c]] {
+			c++
+		}
+		if earliest[h[c]] >= key {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return h
 }
 
 // GreedyEquals reports whether running the greedy list scheduler on the

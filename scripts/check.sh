@@ -21,6 +21,7 @@ go test -run '^$' -fuzz '^FuzzStepCache$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzExactOracle$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSpeculativeTrace$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzRankKernel$' -fuzztime 10s ./internal/rank
+go test -run '^$' -fuzz '^FuzzListScheduler$' -fuzztime 10s ./internal/sched
 echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
 # The full 60-instance sweep lives in EXPERIMENTS.md; a 15-instance pass
 # keeps the heuristic-vs-exact differential honest on every check without
@@ -41,7 +42,7 @@ echo "== scheduling engine must stay map-free"
 # engine packages reintroduces per-schedule hashing and allocation. Tests may
 # use maps freely (oracles, seen-sets).
 if grep -rn --include='*.go' 'map\[graph\.NodeID\]' \
-	./internal/rank ./internal/idle ./internal/core ./internal/loops \
+	./internal/rank ./internal/idle ./internal/core ./internal/loops ./internal/sched \
 	| grep -v '_test\.go:'; then
 	echo "check: FAIL — map[graph.NodeID] in engine non-test code (use dense slices)" >&2
 	exit 1
@@ -74,6 +75,6 @@ echo "== speculative results must be deterministic across runs and -cpu"
 # The same invariant CI's parallel-determinism job enforces: speculation is
 # bit-identical to the sequential walk regardless of GOMAXPROCS or repetition.
 go test -run 'Speculative|ParallelTrace' -count=2 -cpu=1,4 ./...
-echo "== benchsnap -compare BENCH_PR12.json"
-go run ./cmd/benchsnap -compare BENCH_PR12.json
+echo "== benchsnap -compare BENCH_PR13.json"
+go run ./cmd/benchsnap -compare BENCH_PR13.json
 echo "check: OK"
