@@ -579,6 +579,40 @@ func BenchmarkScheduleBatch(b *testing.B) {
 	})
 }
 
+// benchPrograms compiles the fixed program corpus of benchsnap's
+// ScheduleProgram and BuildTraceGraph entries: 8 RandomProgram(24) programs
+// from seed 14.
+func benchPrograms(b *testing.B) []*CompiledC {
+	r := rand.New(rand.NewSource(14))
+	progs := make([]*CompiledC, 8)
+	for i := range progs {
+		c, err := CompileC(workload.RandomProgram(r, 24))
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = c
+	}
+	return progs
+}
+
+// BenchmarkScheduleProgram: the program path — CFG, trace selection,
+// dependence graphs and the batch pipeline — over the fixed 8-program corpus
+// on RS6000(4), with the schedule and step caches off so every op schedules
+// every trace (benchsnap ScheduleProgram).
+func BenchmarkScheduleProgram(b *testing.B) {
+	progs := benchPrograms(b)
+	m := machine.RS6000(4)
+	sc := NewScheduler(SchedulerOptions{CacheCapacity: -1, StepCacheCapacity: -1, ParallelTrace: -1, Workers: 1})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range progs {
+			if _, err := sc.ScheduleProgram(c, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkTracingOverhead quantifies the cost of an attached recorder on
 // the window simulator — the nil-tracer path is the one the ≤2% regression
 // budget protects.

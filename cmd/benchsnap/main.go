@@ -24,8 +24,13 @@
 // and the parallel speedup is printed as a non-gated diagnostic line
 // (auto vs off on the 256-block trace, with the speculation hit rate).
 //
-//	go run ./cmd/benchsnap -o BENCH_PR13.json
-//	go run ./cmd/benchsnap -compare BENCH_PR13.json
+// The program-path entries cover what no other entry reaches
+// (ScheduleProgram: ScheduleProgram over a fixed 8-program mini-C corpus on
+// RS6000(4) with both caches off, as BenchmarkScheduleProgram; and
+// BuildTraceGraph: the dependence graphs of that corpus's traces).
+//
+//	go run ./cmd/benchsnap -o BENCH_PR14.json
+//	go run ./cmd/benchsnap -compare BENCH_PR14.json
 //
 // -cpuprofile and -memprofile write pprof profiles covering the benchmark
 // measurements, for digging into a regression the gate reports:
@@ -57,6 +62,7 @@ import (
 	"time"
 
 	"aisched"
+	"aisched/internal/cfg"
 	"aisched/internal/graph"
 	"aisched/internal/machine"
 	"aisched/internal/paperex"
@@ -81,7 +87,7 @@ type snapshot struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR13.json", "output file (ignored with -compare)")
+	out := flag.String("o", "BENCH_PR14.json", "output file (ignored with -compare)")
 	compare := flag.String("compare", "", "compare against this snapshot instead of writing one")
 	tol := flag.Float64("tol", 2.0, "regression budget in percent for -compare")
 	noisefloor := flag.Float64("noisefloor", 25.0, "minimum ns/op tolerance in percent (wall-clock noise on shared hardware)")
@@ -210,6 +216,17 @@ func main() {
 		CacheCapacity: -1, StepCacheCapacity: -1, ParallelTrace: -1,
 	})
 
+	// Program-path workloads (mirroring BenchmarkScheduleProgram): 8
+	// RandomProgram(24) programs from seed 14, compiled once, scheduled on
+	// RS6000(4) by a one-worker Scheduler with the schedule and step caches
+	// off, so every op builds and schedules every trace. BuildTraceGraph
+	// rebuilds the dependence graphs of the same programs' traces alone.
+	progM := machine.RS6000(4)
+	progSched := aisched.NewScheduler(aisched.SchedulerOptions{
+		CacheCapacity: -1, StepCacheCapacity: -1, ParallelTrace: -1, Workers: 1,
+	})
+	progs, progTraces := programCorpus()
+
 	runBatch := func(b *testing.B, items []aisched.BatchItem) {
 		for i := 0; i < b.N; i++ {
 			sc := aisched.NewScheduler(aisched.SchedulerOptions{})
@@ -329,6 +346,22 @@ func main() {
 			for i := 0; i < b.N; i++ {
 				if _, err := longSeq.ScheduleTrace(longMixed, m); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}},
+		{"ScheduleProgram", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, c := range progs {
+					if _, err := progSched.ScheduleProgram(c, progM); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
+		{"BuildTraceGraph", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, blocks := range progTraces {
+					aisched.BuildTraceGraph(blocks)
 				}
 			}
 		}},
@@ -453,6 +486,35 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
+}
+
+// programCorpus compiles the program-path entries' corpus and returns the
+// programs with the instruction blocks of every selected trace.
+func programCorpus() ([]*aisched.CompiledC, [][][]aisched.Instr) {
+	r := rand.New(rand.NewSource(14))
+	var progs []*aisched.CompiledC
+	var traces [][][]aisched.Instr
+	for i := 0; i < 8; i++ {
+		c, err := aisched.CompileC(workload.RandomProgram(r, 24))
+		if err != nil {
+			fatal(err)
+		}
+		progs = append(progs, c)
+		cg, err := cfg.FromCompiled(c)
+		if err != nil {
+			fatal(err)
+		}
+		for _, tr := range cg.SelectTraces() {
+			var blocks [][]aisched.Instr
+			for _, bi := range tr {
+				if bs := cg.Blocks[bi].Instrs; len(bs) > 0 {
+					blocks = append(blocks, bs)
+				}
+			}
+			traces = append(traces, blocks)
+		}
+	}
+	return progs, traces
 }
 
 // benchmarkWithDeadline runs one testing.Benchmark measurement on its own

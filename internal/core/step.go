@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"aisched/internal/graph"
@@ -28,6 +29,7 @@ type Step struct {
 	d           []int
 	ranks       []int
 	rel         []int
+	prevRanks   []int // ranks before the current loosening round
 	newMask     graph.Bitset
 	changedMask graph.Bitset
 
@@ -168,10 +170,12 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 			newMask.Set(si)
 		}
 	}
-	s, err := st.mergeRounds(in, d, ranks, newMask, false)
+	newClosed := rc.Closed(newMask)
+	res, err := st.mergeRounds(in, d, ranks, newMask, newClosed, false)
 	if err != nil {
 		return StepOut{}, err
 	}
+	s := res.S
 	if tr != nil {
 		tr.Emit(obs.Event{Kind: obs.KindMerge, Block: in.Block, Node: graph.None,
 			From: in.OldCount, To: sn - in.OldCount, N: s.Makespan()})
@@ -216,10 +220,11 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 				d[si] = t
 			}
 		}
-		s2, err := st.mergeRounds(in, d, ranks, newMask, true)
+		res2, err := st.mergeRounds(in, d, ranks, newMask, newClosed, true)
 		if err != nil {
 			return StepOut{}, err
 		}
+		s2 := res2.S
 		if !in.SkipDelay {
 			s2, d, err = idle.DelayIdleSlotsCtx(rc, s2, d, in.Tie, tr)
 			if err != nil {
@@ -243,11 +248,49 @@ func (st *Step) Run(in *StepIn) (StepOut, error) {
 	return StepOut{S: s, D: d, Minus: minus, Plus: plus, Base: base, Repaired: repaired}, nil
 }
 
+// mergeObserver, when non-nil, sees every merge instance as mergeRounds
+// starts: the step input, the assigned deadlines and the repin flag. Tests set it to replay instances through an oracle; it is nil in
+// production.
+var mergeObserver func(in *StepIn, d []int, repin bool)
+
 // mergeRounds runs the merge's re-rank under the assigned deadlines d, then
 // the deadline-loosening loop and the §4.2 heuristic fallback, returning the
-// best schedule found. repin is set on the repair path, which reports itself
-// through the single KindMergePin event instead of per-round loosen events.
-func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, repin bool) (*sched.Schedule, error) {
+// last rank pass (its schedule is the best one found). repin is set on the
+// repair path, which reports itself through the single KindMergePin event
+// instead of per-round loosen events. newClosed reports that every new
+// node's descendants are new (true for block-ordered traces).
+//
+// Each loosening round adds one to every new deadline and re-ranks. Once a
+// round reaches a steady state the rest of the loop is predictable, and it
+// jumps to its end instead of running it. A round is steady when
+//
+//	(a) newClosed holds, so a new node's rank depends only on new deadlines
+//	    and moves with them: every round adds exactly one to every new rank;
+//	(b) before the round, every old rank was strictly below every new rank;
+//	(c) the round left every old rank unchanged and moved every new rank by
+//	    exactly +1.
+//
+// By (b), every packing run and the priority list put old nodes before new
+// ones, in an order later rounds keep, so each packing places every
+// descendant at the same slot. An old rank is then min(C, B + r) after r
+// rounds, with C the deadline and old-side terms and B the new-side terms,
+// both fixed; (c) says the min did not move from r to r+1, so C ≤ B + r and
+// no later round moves it either. Later rounds therefore keep every old rank,
+// widen the gap of (b), and leave the priority list and hence the schedule
+// unchanged, while new ranks and deadlines shift by one per round. The old
+// side's feasibility is fixed, and the new side becomes feasible after k more
+// rounds for the least k ≥ exec − rank and ≥ finish − deadline over the new
+// nodes. The loop thus jumps to that round when the old side is feasible and
+// k fits the round limit, and to the limit otherwise.
+//
+// A skipped round still passes the rank checkpoint (rank.Ctx.Checkpoint) and
+// emits its KindMergeLoosen event, so pass accounting, budget exhaustion,
+// cancellation and traces are those of the round-by-round loop; the final
+// round runs RunRanks, recomputing the schedule rather than trusting it.
+func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, newClosed, repin bool) (*rank.Result, error) {
+	if h := mergeObserver; h != nil {
+		h(in, d, repin)
+	}
 	rc := st.rc
 	view := in.View
 	sn := view.N
@@ -263,13 +306,16 @@ func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, re
 		mb = view.MaxLat
 	}
 	mb = 4 * (sn + mb + 2) // maxBump over the view
+	isOld := in.IsOld[:sn]
+	if !res.Feasible {
+		st.prevRanks = growSlice(st.prevRanks, sn)
+	}
+	prev := st.prevRanks
 	for bump := 0; !res.Feasible && bump <= mb; bump++ {
-		if tr := in.Tracer; tr != nil && !repin {
-			tr.Emit(obs.Event{Kind: obs.KindMergeLoosen, Block: in.Block,
-				Node: graph.None, N: bump + 1})
-		}
-		for si := 0; si < sn; si++ {
-			if !in.IsOld[si] {
+		emitLoosen(in, bump, repin)
+		copy(prev, ranks)
+		for si, old := range isOld {
+			if !old {
 				d[si]++
 			}
 		}
@@ -280,6 +326,27 @@ func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, re
 		if err != nil {
 			return nil, err
 		}
+		if res.Feasible || !newClosed || bump == mb || !steadyRound(isOld, prev, ranks) {
+			continue
+		}
+		last := mb
+		if k, ok := roundsToFeasible(isOld, in.View.Exec, res.S, d, ranks); ok {
+			last = min(last, bump+k)
+		}
+		for skip := bump + 1; skip < last; skip++ {
+			emitLoosen(in, skip, repin)
+			if err := rc.Checkpoint(); err != nil {
+				shiftNew(isOld, d, ranks, skip-bump)
+				return nil, err
+			}
+		}
+		emitLoosen(in, last, repin)
+		shiftNew(isOld, d, ranks, last-bump)
+		res, err = rc.RunRanks(ranks, d, in.Tie)
+		if err != nil {
+			return nil, err
+		}
+		bump = last
 	}
 	// Heuristic-regime fallback (§4.2): with multiple units, multi-cycle
 	// instructions or long latencies, greedy-by-rank may miss even the old
@@ -315,7 +382,67 @@ func (st *Step) mergeRounds(in *StepIn, d, ranks []int, newMask graph.Bitset, re
 			}
 		}
 	}
-	return res.S, nil
+	return res, nil
+}
+
+// emitLoosen emits the KindMergeLoosen event of loosening round bump, except
+// on the repair path.
+func emitLoosen(in *StepIn, bump int, repin bool) {
+	if tr := in.Tracer; tr != nil && !repin {
+		tr.Emit(obs.Event{Kind: obs.KindMergeLoosen, Block: in.Block,
+			Node: graph.None, N: bump + 1})
+	}
+}
+
+// steadyRound reports conditions (b) and (c) of mergeRounds for a loosening
+// round that took the ranks from prev to ranks.
+func steadyRound(isOld []bool, prev, ranks []int) bool {
+	maxOld, minNew := math.MinInt, math.MaxInt
+	for v, old := range isOld {
+		if old {
+			if ranks[v] != prev[v] {
+				return false
+			}
+			maxOld = max(maxOld, prev[v])
+		} else {
+			if ranks[v] != prev[v]+1 {
+				return false
+			}
+			minNew = min(minNew, prev[v])
+		}
+	}
+	return maxOld < minNew
+}
+
+// roundsToFeasible returns the number k ≥ 1 of further steady rounds after
+// which the rank pass that produced schedule s becomes feasible, or false when no number does
+// because an old node misses its deadline or its rank is below its
+// execution time.
+func roundsToFeasible(isOld []bool, execs []int32, s *sched.Schedule, d, ranks []int) (int, bool) {
+	k := 1
+	for v, old := range isOld {
+		exec := int(execs[v])
+		late := s.Finish(graph.NodeID(v)) - d[v]
+		if old {
+			if ranks[v] < exec || late > 0 {
+				return 0, false
+			}
+			continue
+		}
+		k = max(k, exec-ranks[v], late)
+	}
+	return k, true
+}
+
+// shiftNew adds k to every new node's deadline and rank: k steady loosening
+// rounds.
+func shiftNew(isOld []bool, d, ranks []int, k int) {
+	for v, old := range isOld {
+		if !old {
+			d[v] += k
+			ranks[v] += k
+		}
+	}
 }
 
 // restrictedModel reports whether the view is an instance of the paper's

@@ -162,43 +162,51 @@ type Instr struct {
 }
 
 // Defs returns the registers written by the instruction.
-func (in Instr) Defs() []Reg {
-	var out []Reg
+func (in Instr) Defs() []Reg { return in.AppendDefs(nil) }
+
+// AppendDefs appends the registers written by the instruction to dst, in
+// Defs order (at most two: the destination, then an update-form base), and
+// returns the extended slice.
+func (in *Instr) AppendDefs(dst []Reg) []Reg {
 	switch in.Op {
 	case LI, MOV, ADD, SUB, AND, OR, XOR, SHL, SHR, ADDI, SUBI, MUL, DIV, LOAD, LOADU:
-		out = append(out, in.Dst)
+		dst = append(dst, in.Dst)
 	case CMP, CMPI:
-		out = append(out, in.Dst)
+		dst = append(dst, in.Dst)
 	}
 	if in.Op == LOADU || in.Op == STOREU {
-		out = append(out, in.Base)
+		dst = append(dst, in.Base)
 	}
-	return out
+	return dst
 }
 
 // Uses returns the registers read by the instruction.
-func (in Instr) Uses() []Reg {
-	var out []Reg
-	add := func(r Reg) {
+func (in Instr) Uses() []Reg { return in.AppendUses(nil) }
+
+// AppendUses appends the valid registers read by the instruction to dst, in
+// Uses order, and returns the extended slice.
+func (in *Instr) AppendUses(dst []Reg) []Reg {
+	switch in.Op {
+	case MOV, ADDI, SUBI, CMPI, BT, BF: // BT/BF read their condition register
+		return appendValid(dst, in.SrcA)
+	case ADD, SUB, AND, OR, XOR, SHL, SHR, MUL, DIV, CMP:
+		return appendValid(dst, in.SrcA, in.SrcB)
+	case LOAD, LOADU:
+		return appendValid(dst, in.Base)
+	case STORE, STOREU:
+		return appendValid(dst, in.SrcA, in.Base)
+	}
+	return dst
+}
+
+// appendValid appends the valid registers of rs to dst.
+func appendValid(dst []Reg, rs ...Reg) []Reg {
+	for _, r := range rs {
 		if r.Valid() {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	switch in.Op {
-	case MOV, ADDI, SUBI, CMPI:
-		add(in.SrcA)
-	case ADD, SUB, AND, OR, XOR, SHL, SHR, MUL, DIV, CMP:
-		add(in.SrcA)
-		add(in.SrcB)
-	case LOAD, LOADU:
-		add(in.Base)
-	case STORE, STOREU:
-		add(in.SrcA)
-		add(in.Base)
-	case BT, BF:
-		add(in.SrcA) // condition register
-	}
-	return out
+	return dst
 }
 
 // ReadsMem reports whether the instruction loads from memory.

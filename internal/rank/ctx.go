@@ -71,6 +71,10 @@ type Ctx struct {
 	// here makes the whole pipeline cooperatively cancellable and metered.
 	budget *sbudget.State
 
+	// Work counters of the current binding: rank passes charged at
+	// Checkpoint, and greedy list-scheduler runs.
+	passes, listRuns int
+
 	ls sched.ListScheduler
 
 	// aux lets the passes layered on the Rank Algorithm (internal/idle)
@@ -122,6 +126,7 @@ func (c *Ctx) Reset(view graph.AdjView, m *machine.Machine, g *graph.Graph) erro
 	c.budget = nil
 	c.source = nil
 	c.fills = 0
+	c.passes, c.listRuns = 0, 0
 	c.ar.Reset()
 	c.ents.Reset()
 	n := view.N
@@ -521,19 +526,50 @@ func (c *Ctx) packSlack(run []entry, ranks []int, window int) int {
 	return slack
 }
 
+// Checkpoint is the per-pass checkpoint every RunRanks starts with: the
+// faultinject.RankPass hook, then one pass charged against the budget (a
+// cancellation point too). A caller that proves a reschedule would repeat
+// the previous one and skips it still calls Checkpoint, so pass accounting
+// and cancellation do not depend on which reschedules actually run.
+func (c *Ctx) Checkpoint() error {
+	c.passes++
+	if h := faultinject.RankPass; h != nil {
+		h()
+	}
+	if c.budget != nil {
+		return c.budget.RankPass()
+	}
+	return nil
+}
+
+// WorkCounts reports the current binding's deterministic work counters: the
+// rank passes charged (Checkpoint calls) and the greedy list-scheduler runs.
+func (c *Ctx) WorkCounts() (passes, listRuns int) { return c.passes, c.listRuns }
+
+// Closed reports whether set is closed under descendants: every descendant
+// of every node in set is itself in set.
+func (c *Ctx) Closed(set graph.Bitset) bool {
+	for v := 0; v < c.view.N; v++ {
+		if !set.Has(v) {
+			continue
+		}
+		for i, w := range c.desc[v] {
+			if w&^set[i] != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // RunRanks greedily schedules in nondecreasing rank order (the second half
 // of rank_alg) using precomputed ranks, and reports deadline feasibility
 // against d. This is how Move_Idle_Slot shares one rank computation between
 // its refill test and the actual reschedule. The Result's Ranks field
 // aliases the input slice.
 func (c *Ctx) RunRanks(ranks, d []int, tie []graph.NodeID) (*Result, error) {
-	if h := faultinject.RankPass; h != nil {
-		h()
-	}
-	if c.budget != nil {
-		if err := c.budget.RankPass(); err != nil {
-			return nil, err
-		}
+	if err := c.Checkpoint(); err != nil {
+		return nil, err
 	}
 	if tie == nil {
 		if c.source == nil {
@@ -546,6 +582,7 @@ func (c *Ctx) RunRanks(ranks, d []int, tie []graph.NodeID) (*Result, error) {
 		tie = c.source
 	}
 	list := c.buildList(ranks, tie)
+	c.listRuns++
 	s, err := c.ls.Run(list)
 	if err != nil {
 		return nil, err

@@ -22,6 +22,7 @@ go test -run '^$' -fuzz '^FuzzExactOracle$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzSpeculativeTrace$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzRankKernel$' -fuzztime 10s ./internal/rank
 go test -run '^$' -fuzz '^FuzzListScheduler$' -fuzztime 10s ./internal/sched
+go test -run '^$' -fuzz '^FuzzMergeLoosen$' -fuzztime 10s ./internal/core
 echo "== optimality-gap quick sweep (E1GAP, reduced instance count)"
 # The full 60-instance sweep lives in EXPERIMENTS.md; a 15-instance pass
 # keeps the heuristic-vs-exact differential honest on every check without
@@ -75,6 +76,6 @@ echo "== speculative results must be deterministic across runs and -cpu"
 # The same invariant CI's parallel-determinism job enforces: speculation is
 # bit-identical to the sequential walk regardless of GOMAXPROCS or repetition.
 go test -run 'Speculative|ParallelTrace' -count=2 -cpu=1,4 ./...
-echo "== benchsnap -compare BENCH_PR13.json"
-go run ./cmd/benchsnap -compare BENCH_PR13.json
+echo "== benchsnap -compare BENCH_PR14.json"
+go run ./cmd/benchsnap -compare BENCH_PR14.json
 echo "check: OK"
