@@ -29,8 +29,8 @@
 // RS6000(4) with both caches off, as BenchmarkScheduleProgram; and
 // BuildTraceGraph: the dependence graphs of that corpus's traces).
 //
-//	go run ./cmd/benchsnap -o BENCH_PR14.json
-//	go run ./cmd/benchsnap -compare BENCH_PR14.json
+//	go run ./cmd/benchsnap -o BENCH_PR15.json
+//	go run ./cmd/benchsnap -compare BENCH_PR15.json
 //
 // -cpuprofile and -memprofile write pprof profiles covering the benchmark
 // measurements, for digging into a regression the gate reports:
@@ -87,7 +87,7 @@ type snapshot struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR14.json", "output file (ignored with -compare)")
+	out := flag.String("o", "BENCH_PR15.json", "output file (ignored with -compare)")
 	compare := flag.String("compare", "", "compare against this snapshot instead of writing one")
 	tol := flag.Float64("tol", 2.0, "regression budget in percent for -compare")
 	noisefloor := flag.Float64("noisefloor", 25.0, "minimum ns/op tolerance in percent (wall-clock noise on shared hardware)")
@@ -456,10 +456,10 @@ func main() {
 		off := snap.Benchmarks["ScheduleTraceLong256"]
 		if ok && off.NsPerOp > 0 {
 			if segs := d.Segments - before.Segments; segs > 0 {
-				fmt.Printf("parallel trace (256 blocks, GOMAXPROCS=%d): %d -> %d ns/op (%.1fx), %d/%d segments verified, %d hint-seeded\n",
+				fmt.Printf("parallel trace (256 blocks, GOMAXPROCS=%d): %d -> %d ns/op (%.1fx), %d/%d segments verified\n",
 					runtime.GOMAXPROCS(0), off.NsPerOp, parOn.NsPerOp(),
 					float64(off.NsPerOp)/float64(parOn.NsPerOp()),
-					d.Hits-before.Hits, segs, d.LaneB-before.LaneB)
+					d.Hits-before.Hits, segs)
 			} else {
 				fmt.Printf("parallel trace (256 blocks): auto gate kept speculation off (GOMAXPROCS=%d)\n",
 					runtime.GOMAXPROCS(0))

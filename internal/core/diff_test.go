@@ -337,6 +337,31 @@ func randomDiffTrace(r *rand.Rand, n, nblocks int, p float64, classes int) *grap
 	return g
 }
 
+// randomInterleavedTrace builds an acyclic trace whose block numbering
+// interleaves node IDs (node i is in block i mod k), with edges only from a
+// lower-or-equal block to a higher-or-equal one — a layout the walk must
+// regroup by block before visiting it.
+func randomInterleavedTrace(r *rand.Rand, n, k int, p float64, classes int) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), 1+r.Intn(2), r.Intn(classes), i%k)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			// (block, ID) order is a topological order, so the trace stays
+			// acyclic.
+			if bi, bj := i%k, j%k; (bi < bj || bi == bj && i < j) && r.Float64() < p {
+				g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(3), 0)
+			}
+		}
+	}
+	return g
+}
+
+// TestDifferentialLookaheadMatchesReference holds LookaheadOpts bit-identical
+// to referenceLookahead on random block-grouped traces, plus two inputs per
+// seed that exercise the walk's non-default paths: a trace with interleaved
+// block numbering, and a reversed custom Tie.
 func TestDifferentialLookaheadMatchesReference(t *testing.T) {
 	cases := []struct {
 		m       *machine.Machine
@@ -352,42 +377,56 @@ func TestDifferentialLookaheadMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDiffTrace(r, 4+r.Intn(20), 1+r.Intn(4), 0.3, cs.classes)
 		opt := Options{SkipDelay: seed%5 == 4}
+		interleaved := randomInterleavedTrace(r, 4+r.Intn(20), 2+r.Intn(3), 0.3, cs.classes)
+		reversed := opt
+		reversed.Tie = make([]graph.NodeID, g.Len())
+		for i := range reversed.Tie {
+			reversed.Tie[i] = graph.NodeID(g.Len() - 1 - i)
+		}
+		requireMatchesReference(t, fmt.Sprintf("seed %d", seed), g, cs.m, opt)
+		requireMatchesReference(t, fmt.Sprintf("seed %d interleaved", seed), interleaved, cs.m, opt)
+		requireMatchesReference(t, fmt.Sprintf("seed %d reversed tie", seed), g, cs.m, reversed)
+	}
+}
 
-		want, err := referenceLookahead(g, cs.m, opt)
-		if err != nil {
-			t.Fatalf("seed %d: reference: %v", seed, err)
+// requireMatchesReference asserts LookaheadOpts and referenceLookahead agree
+// on g to the bit: emission order, placements, and per-block static orders.
+func requireMatchesReference(t *testing.T, tag string, g *graph.Graph, m *machine.Machine, opt Options) {
+	t.Helper()
+	want, err := referenceLookahead(g, m, opt)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", tag, err)
+	}
+	got, err := LookaheadOpts(g, m, opt)
+	if err != nil {
+		t.Fatalf("%s: optimized: %v", tag, err)
+	}
+	if fmt.Sprint(got.Order) != fmt.Sprint(want.Order) {
+		t.Fatalf("%s on %s: orders differ\n got %v\n want %v",
+			tag, m.Name, got.Order, want.Order)
+	}
+	for v := 0; v < g.Len(); v++ {
+		if got.S.Start[v] != want.S.Start[v] || got.S.Unit[v] != want.S.Unit[v] {
+			t.Fatalf("%s on %s: schedule differs at node %d: (%d,%d) vs (%d,%d)",
+				tag, m.Name, v, got.S.Start[v], got.S.Unit[v], want.S.Start[v], want.S.Unit[v])
 		}
-		got, err := LookaheadOpts(g, cs.m, opt)
-		if err != nil {
-			t.Fatalf("seed %d: optimized: %v", seed, err)
-		}
-		if fmt.Sprint(got.Order) != fmt.Sprint(want.Order) {
-			t.Fatalf("seed %d on %s: orders differ\n got %v\n want %v",
-				seed, cs.m.Name, got.Order, want.Order)
-		}
-		for v := 0; v < g.Len(); v++ {
-			if got.S.Start[v] != want.S.Start[v] || got.S.Unit[v] != want.S.Unit[v] {
-				t.Fatalf("seed %d on %s: schedule differs at node %d: (%d,%d) vs (%d,%d)",
-					seed, cs.m.Name, v, got.S.Start[v], got.S.Unit[v], want.S.Start[v], want.S.Unit[v])
-			}
-		}
-		var gb, wb []int
-		for b := range got.BlockOrders {
-			gb = append(gb, b)
-		}
-		for b := range want.BlockOrders {
-			wb = append(wb, b)
-		}
-		sort.Ints(gb)
-		sort.Ints(wb)
-		if fmt.Sprint(gb) != fmt.Sprint(wb) {
-			t.Fatalf("seed %d: block sets differ: %v vs %v", seed, gb, wb)
-		}
-		for _, b := range gb {
-			if fmt.Sprint(got.BlockOrders[b]) != fmt.Sprint(want.BlockOrders[b]) {
-				t.Fatalf("seed %d: block %d orders differ\n got %v\n want %v",
-					seed, b, got.BlockOrders[b], want.BlockOrders[b])
-			}
+	}
+	var gb, wb []int
+	for b := range got.BlockOrders {
+		gb = append(gb, b)
+	}
+	for b := range want.BlockOrders {
+		wb = append(wb, b)
+	}
+	sort.Ints(gb)
+	sort.Ints(wb)
+	if fmt.Sprint(gb) != fmt.Sprint(wb) {
+		t.Fatalf("%s: block sets differ: %v vs %v", tag, gb, wb)
+	}
+	for _, b := range gb {
+		if fmt.Sprint(got.BlockOrders[b]) != fmt.Sprint(want.BlockOrders[b]) {
+			t.Fatalf("%s: block %d orders differ\n got %v\n want %v",
+				tag, b, got.BlockOrders[b], want.BlockOrders[b])
 		}
 	}
 }

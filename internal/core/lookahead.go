@@ -57,7 +57,7 @@ type laScratch struct {
 	dOld     []int // carried-suffix deadlines, dense by original node ID
 	fOld     []int // carried-suffix finish times, dense by original node ID
 	relAbs   []int // absolute release times, dense by original node ID
-	byBlock  []graph.NodeID
+	groups   blockGroups
 
 	step   Step
 	stepIn StepIn
@@ -86,7 +86,6 @@ func (st *laScratch) grow(n int) {
 		st.dOld = make([]int, n)
 		st.fOld = make([]int, n)
 		st.relAbs = make([]int, n)
-		st.byBlock = make([]graph.NodeID, n)
 	}
 }
 
@@ -250,47 +249,106 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 		tr.Emit(obs.Event{Kind: obs.KindPassStart, Pass: obs.PassLookahead,
 			Block: -1, Node: graph.None, N: g.Len()})
 	}
-	n := g.Len()
 	csr := graph.NewCSR(g)
-
-	// Long block-grouped traces with no per-call hooks take the speculative
-	// parallel path; everything else runs the sequential walk below. The
-	// plan gate is ordered cheapest-first, so a small trace pays one integer
-	// compare here.
-	if plan := parallelPlan(csr, &opt); plan != nil {
-		return lookaheadParallel(g, m, opt, csr, plan)
-	}
-
 	scratch := laPool.Get().(*laScratch)
 	defer laPool.Put(scratch)
-	scratch.grow(n)
-	tiePos := scratch.tiePos[:n]
-	if opt.Tie != nil {
-		for i, id := range opt.Tie {
-			tiePos[id] = i
-		}
-	} else {
-		for i := range tiePos {
-			tiePos[i] = i
-		}
-	}
+	var w traceWalk
+	w.init(csr, m, &opt, nil, scratch)
 
-	// Group nodes by block with a stable sort of the identity permutation:
-	// within each block IDs stay ascending, and blocks are visited in
-	// ascending order — the same traversal the blocks/byBlock maps produced,
-	// without the maps, and robust to sparse block numbering.
-	byBlock := scratch.byBlock[:n]
+	// Long block-grouped traces with no per-call hooks take the speculative
+	// parallel path; everything else walks the whole trace here. The plan
+	// gate is ordered cheapest-first, so a small trace pays one integer
+	// compare.
+	if plan := parallelPlan(csr, &opt, w.groups); plan != nil {
+		return lookaheadParallel(g, m, opt, csr, plan, &w)
+	}
+	if err := w.runGroups(0, w.groups.ngroups()); err != nil {
+		return nil, err
+	}
+	w.emitted = append(w.emitted, w.plusOrder...)
+	w.finish()
+
+	out, err := assembleResult(g, m, csr, scratch, w.emitted, w.absStart, w.absUnit)
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassLookahead,
+			Block: -1, Node: graph.None, N: out.Makespan()})
+	}
+	return out, nil
+}
+
+// blockGroups is the trace's block structure: node IDs stable-sorted by
+// block (ascending IDs within each block, blocks in ascending order — robust
+// to sparse block numbering and to layouts whose IDs interleave blocks), the
+// group table over that order, and the parallel path's per-block barrier
+// scores (parallel.go).
+type blockGroups struct {
+	byBlock []graph.NodeID
+	off     []int   // group g's nodes are byBlock[off[g]:off[g+1]]
+	blk     []int   // group g's block index
+	ordered bool    // byBlock is the identity: node IDs were already grouped
+	score   []int64 // barrier score (higher = better cut-before point)
+}
+
+func (gr *blockGroups) ngroups() int { return len(gr.blk) }
+
+// build groups the trace's nodes (at least one) by block, reusing gr's
+// buffers.
+func (gr *blockGroups) build(csr *graph.CSR) {
+	n := csr.Len()
+	gr.byBlock = growSlice(gr.byBlock, n)
+	byBlock := gr.byBlock
 	for i := range byBlock {
 		byBlock[i] = graph.NodeID(i)
 	}
-	slices.SortStableFunc(byBlock, func(a, b graph.NodeID) int {
-		return csr.Block(a) - csr.Block(b)
-	})
+	cmpBlock := func(a, b graph.NodeID) int { return csr.Block(a) - csr.Block(b) }
+	gr.ordered = slices.IsSortedFunc(byBlock, cmpBlock)
+	if !gr.ordered {
+		slices.SortStableFunc(byBlock, cmpBlock)
+	}
+	gr.off = append(gr.off[:0], 0)
+	gr.blk = append(gr.blk[:0], csr.Block(byBlock[0]))
+	for i := 1; i < n; i++ {
+		if b := csr.Block(byBlock[i]); b != gr.blk[len(gr.blk)-1] {
+			gr.off = append(gr.off, i)
+			gr.blk = append(gr.blk, b)
+		}
+	}
+	gr.off = append(gr.off, n)
+}
 
-	emitted := scratch.emitted[:0]
-	oldIDs := scratch.oldIDs[:0] // original IDs carried forward
-	dOld := scratch.dOld[:n]     // deadlines of carried nodes, dense by original ID
-	fOld := scratch.fOld[:n]     // finish times of carried nodes, dense by original ID
+// floorWrite is one logged release-floor update (absolute value in the
+// writer's own frame); the speculative splice replays the log into the
+// driver's state shifted by the join delta.
+type floorWrite struct {
+	dst graph.NodeID
+	r   int
+}
+
+// traceWalk is Algorithm Lookahead's per-block walk: merge + delay + chop
+// over block groups, carrying the suffix state between blocks.
+// LookaheadOpts runs it over the whole trace; the speculative parallel
+// driver and its workers (parallel.go) run it over group ranges from
+// different entry states.
+type traceWalk struct {
+	scratch *laScratch
+	csr     *graph.CSR
+	gview   graph.AdjView
+	m       *machine.Machine
+	sc      *StepCache
+	skip    bool
+	tiePos  []int // rank tie-break positions by original ID; nil = identity
+	tracer  obs.Tracer
+	budget  *sbudget.State
+	groups  *blockGroups
+
+	// Stitched absolute schedule: frames advance by each chop's base.
+	absStart []int
+	absUnit  []int
+	dOld     []int // deadlines of carried nodes, dense by original ID
+	fOld     []int // finish times of carried nodes, dense by original ID
 	// relAbs[v] is the absolute earliest start owed to v by latencies of
 	// already-committed predecessors. Chop commits a prefix and drops its
 	// nodes — and their out-edges — from every later view, so each committed
@@ -300,131 +358,175 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 	// release is stale by construction; longer latencies (§4.2 machines)
 	// genuinely need the floor or a later merge may hoist a dependent above
 	// it and predict an illegal start.
-	relAbs := scratch.relAbs[:n]
-	clear(relAbs)
-	gview := csr.View()
-	oldMakespan := 0
-	plusOrder := scratch.plusOrder[:0] // S+ of the most recent iteration, original IDs
-	// Step-cache canonical-layout gate: caching requires the carried suffix
-	// to occupy the view's ID prefix, i.e. every carried original ID below
-	// every new one, and the identity tie-break. maxOld tracks the largest
-	// carried ID so the check is O(1) per block.
-	canonTie := opt.Tie == nil
-	maxOld := graph.NodeID(-1)
-	// Stitched absolute schedule: frames advance by each chop's base.
-	timeBase := 0
-	absStart := scratch.absStart[:n]
-	absUnit := scratch.absUnit[:n]
-	for i := range absStart {
-		absStart[i] = sched.Unassigned
-		absUnit[i] = sched.Unassigned
+	relAbs []int
+
+	emitted   []graph.NodeID
+	oldIDs    []graph.NodeID // original IDs carried forward
+	plusOrder []graph.NodeID // S+ of the most recent iteration, original IDs
+	// maxOld is the largest carried ID, so the step cache's canonical-layout
+	// gate is O(1) per block.
+	maxOld graph.NodeID
+
+	oldMakespan int
+	timeBase    int
+
+	logFloors bool
+	floorLog  []floorWrite
+}
+
+// init binds the walk to a pooled scratch and resets it to the empty entry
+// state (no suffix, zero floors, time base zero). gr is the trace's block
+// grouping; nil builds it in the scratch.
+func (w *traceWalk) init(csr *graph.CSR, m *machine.Machine, opt *Options, gr *blockGroups, scratch *laScratch) {
+	n := csr.Len()
+	scratch.grow(n)
+	if gr == nil {
+		gr = &scratch.groups
+		gr.build(csr)
 	}
-
-	for lo := 0; lo < n; {
-		hi := lo
-		b := csr.Block(byBlock[lo])
-		for hi < n && csr.Block(byBlock[hi]) == b {
-			hi++
+	w.scratch, w.csr, w.m, w.groups = scratch, csr, m, gr
+	w.sc, w.skip = opt.StepCache, opt.SkipDelay
+	w.tracer, w.budget = opt.Tracer, opt.Budget
+	w.gview = csr.View()
+	w.tiePos = nil
+	if opt.Tie != nil {
+		w.tiePos = scratch.tiePos[:n]
+		for i, id := range opt.Tie {
+			w.tiePos[id] = i
 		}
-		newIDs := byBlock[lo:hi]
-		lo = hi
+	}
+	w.absStart = scratch.absStart[:n]
+	w.absUnit = scratch.absUnit[:n]
+	for i := range w.absStart {
+		w.absStart[i] = sched.Unassigned
+		w.absUnit[i] = sched.Unassigned
+	}
+	w.dOld = scratch.dOld[:n]
+	w.fOld = scratch.fOld[:n]
+	w.relAbs = scratch.relAbs[:n]
+	clear(w.relAbs)
+	w.emitted = scratch.emitted[:0]
+	w.oldIDs = scratch.oldIDs[:0]
+	w.plusOrder = scratch.plusOrder[:0]
+	w.maxOld = graph.NodeID(-1)
+	w.oldMakespan = 0
+	w.timeBase = 0
+	w.logFloors = false
+	w.floorLog = w.floorLog[:0]
+	// A pooled Step may carry a stale suffix fingerprint from its previous
+	// owner; RunMemo re-establishes it at the first empty-suffix merge.
+	scratch.step.suffOK = false
+}
 
-		if err := opt.Budget.Check(); err != nil {
-			return nil, err
+// finish returns the walk's grown buffers to the scratch for pooling.
+func (w *traceWalk) finish() {
+	w.scratch.emitted = w.emitted[:0]
+	w.scratch.oldIDs = w.oldIDs[:0]
+	w.scratch.plusOrder = w.plusOrder[:0]
+}
+
+// runGroups advances the walk over block groups [gLo, gHi). Each block is a
+// budget checkpoint.
+func (w *traceWalk) runGroups(gLo, gHi int) error {
+	scratch := w.scratch
+	gr := w.groups
+	for gi := gLo; gi < gHi; gi++ {
+		if err := w.budget.Check(); err != nil {
+			return err
 		}
+		newIDs := gr.byBlock[gr.off[gi]:gr.off[gi+1]]
 		// cur = old ∪ new, as an induced view of the trace CSR (ascending
 		// IDs; old and new are disjoint).
-		ids := append(scratch.ids[:0], oldIDs...)
+		ids := append(scratch.ids[:0], w.oldIDs...)
 		ids = append(ids, newIDs...)
 		scratch.ids = ids
 		slices.Sort(ids)
-		scratch.sub.Init(csr, ids)
+		scratch.sub.Init(w.csr, ids)
 		sn := scratch.sub.Len()
 		view := scratch.sub.View()
 
 		scratch.isOld = growSlice(scratch.isOld, sn)
 		isOld := scratch.isOld
 		clear(isOld)
-		for _, id := range oldIDs {
+		for _, id := range w.oldIDs {
 			isOld[scratch.sub.ToSub(id)] = true
 		}
-		scratch.tie = subTieInto(scratch.tie, ids, tiePos)
-		tie := scratch.tie
+		if w.tiePos != nil {
+			scratch.tie = subTieInto(scratch.tie, ids, w.tiePos)
+		} else {
+			scratch.tie = growSlice(scratch.tie, sn)
+			for i := range scratch.tie {
+				scratch.tie[i] = graph.NodeID(i)
+			}
+		}
 		scratch.dv = growSlice(scratch.dv, sn)
 		scratch.fv = growSlice(scratch.fv, sn)
 		scratch.rv = growSlice(scratch.rv, sn)
 		rv := scratch.rv
 		for si := 0; si < sn; si++ {
 			if isOld[si] {
-				scratch.dv[si] = dOld[ids[si]]
-				scratch.fv[si] = fOld[ids[si]]
+				scratch.dv[si] = w.dOld[ids[si]]
+				scratch.fv[si] = w.fOld[ids[si]]
 			}
-			rv[si] = relAbs[ids[si]] - timeBase
+			rv[si] = w.relAbs[ids[si]] - w.timeBase
 		}
 		// The merge + Delay_Idle_Slots + chop iteration itself lives in
 		// Step.Run, shared verbatim with the streaming driver.
 		scratch.stepIn = StepIn{
-			View: view, M: m, Tie: tie, IsOld: isOld,
+			View: view, M: w.m, Tie: scratch.tie, IsOld: isOld,
 			DOld: scratch.dv, FOld: scratch.fv, ROld: rv,
-			OldCount: len(oldIDs), OldMakespan: oldMakespan,
-			Block: b, SkipDelay: opt.SkipDelay,
-			Tracer: tr, Budget: opt.Budget,
+			OldCount: len(w.oldIDs), OldMakespan: w.oldMakespan,
+			Block: gr.blk[gi], SkipDelay: w.skip,
+			Tracer: w.tracer, Budget: w.budget,
 		}
-		canon := canonTie && (len(oldIDs) == 0 || maxOld < newIDs[0])
-		out, err := scratch.step.RunMemo(&scratch.stepIn, opt.StepCache, canon)
+		// Step-cache canonical-layout gate: caching requires the identity
+		// tie-break and the carried suffix to occupy the view's ID prefix,
+		// i.e. every carried original ID below every new one.
+		canon := w.tiePos == nil && (len(w.oldIDs) == 0 || w.maxOld < newIDs[0])
+		out, err := scratch.step.RunMemo(&scratch.stepIn, w.sc, canon)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s, d := out.S, out.D
 		for _, si := range out.Minus {
 			oi := ids[si]
-			emitted = append(emitted, oi)
-			absStart[oi] = s.Start[si] + timeBase
-			absUnit[oi] = s.Unit[si]
+			w.emitted = append(w.emitted, oi)
+			w.absStart[oi] = s.Start[si] + w.timeBase
+			w.absUnit[oi] = s.Unit[si]
 			// The committed node's out-edges vanish from every later view;
 			// record their latency lower bounds as absolute releases on the
 			// destinations — carried nodes and nodes of blocks that have not
 			// even arrived yet alike.
-			f := absStart[oi] + int(gview.Exec[oi])
-			for ei := gview.Off[oi]; ei < gview.Off[oi+1]; ei++ {
-				if r := f + int(gview.Lat[ei]); r > relAbs[gview.Dst[ei]] {
-					relAbs[gview.Dst[ei]] = r
+			f := w.absStart[oi] + int(w.gview.Exec[oi])
+			for ei := w.gview.Off[oi]; ei < w.gview.Off[oi+1]; ei++ {
+				if r := f + int(w.gview.Lat[ei]); r > w.relAbs[w.gview.Dst[ei]] {
+					w.relAbs[w.gview.Dst[ei]] = r
+					if w.logFloors {
+						w.floorLog = append(w.floorLog, floorWrite{dst: w.gview.Dst[ei], r: r})
+					}
 				}
 			}
 		}
-		oldIDs = oldIDs[:0]
-		plusOrder = plusOrder[:0]
-		maxOld = graph.NodeID(-1)
+		w.oldIDs = w.oldIDs[:0]
+		w.plusOrder = w.plusOrder[:0]
+		w.maxOld = graph.NodeID(-1)
 		for _, si := range out.Plus {
 			oi := ids[si]
-			oldIDs = append(oldIDs, oi)
-			if oi > maxOld {
-				maxOld = oi
+			w.oldIDs = append(w.oldIDs, oi)
+			if oi > w.maxOld {
+				w.maxOld = oi
 			}
-			dOld[oi] = d[si] - out.Base
-			fOld[oi] = s.Finish(si) - out.Base
-			plusOrder = append(plusOrder, oi)
+			w.dOld[oi] = d[si] - out.Base
+			w.fOld[oi] = s.Finish(si) - out.Base
+			w.plusOrder = append(w.plusOrder, oi)
 			// Tentative placement; overwritten if a later merge reorders it.
-			absStart[oi] = s.Start[si] + timeBase
-			absUnit[oi] = s.Unit[si]
+			w.absStart[oi] = s.Start[si] + w.timeBase
+			w.absUnit[oi] = s.Unit[si]
 		}
-		oldMakespan = s.Makespan() - out.Base
-		timeBase += out.Base
+		w.oldMakespan = s.Makespan() - out.Base
+		w.timeBase += out.Base
 	}
-	emitted = append(emitted, plusOrder...)
-	scratch.emitted = emitted[:0]
-	scratch.oldIDs = oldIDs[:0]
-	scratch.plusOrder = plusOrder[:0]
-
-	out, err := assembleResult(g, m, csr, scratch, emitted, absStart, absUnit)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPassEnd, Pass: obs.PassLookahead,
-			Block: -1, Node: graph.None, N: out.Makespan()})
-	}
-	return out, nil
+	return nil
 }
 
 // assembleResult packages a completed walk's absolute placements and

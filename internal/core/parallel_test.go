@@ -105,8 +105,8 @@ func specTestInstance(t *testing.T, seed int) (*graph.Graph, *machine.Machine) {
 // across ~300 random traces spanning latency regimes, machine shapes, and
 // barrier densities, the speculative parallel path at every forced segment
 // width is bit-identical to the sequential walk — with and without a step
-// cache (shared across instances, so later instances also exercise the
-// hint-seeded lane on whatever structure repeats).
+// cache (shared across instances, so later instances also replay step-cache
+// hits inside speculative workers on whatever structure repeats).
 func TestSpeculativeTraceBitIdentical(t *testing.T) {
 	sc := NewStepCache(StepCacheConfig{})
 	defer sc.Release()
@@ -132,8 +132,8 @@ func TestSpeculativeTraceBitIdentical(t *testing.T) {
 		}
 	}
 	st := SpecCounters()
-	t.Logf("cumulative: runs=%d segments=%d hits=%d misses=%d fallback=%d laneB=%d",
-		st.Runs, st.Segments, st.Hits, st.Misses, st.FallbackBlocks, st.LaneB)
+	t.Logf("cumulative: runs=%d segments=%d hits=%d misses=%d fallback=%d",
+		st.Runs, st.Segments, st.Hits, st.Misses, st.FallbackBlocks)
 }
 
 // TestSpeculativeForcedMismatch fault-injects a wrong verification verdict
@@ -177,58 +177,6 @@ func diffSpec(a, b SpecStats) SpecStats {
 		Runs: b.Runs - a.Runs, Segments: b.Segments - a.Segments,
 		Hits: b.Hits - a.Hits, Misses: b.Misses - a.Misses,
 		FallbackBlocks: b.FallbackBlocks - a.FallbackBlocks,
-		LaneB:          b.LaneB - a.LaneB,
-	}
-}
-
-// repetitiveChainTrace builds a trace of identical latency-1 chain blocks —
-// maximal structural repetition, the regime the join-hint lane targets.
-func repetitiveChainTrace(blocks, size int) *graph.Graph {
-	g := graph.New(blocks * size)
-	for b := 0; b < blocks; b++ {
-		var prev graph.NodeID
-		for i := 0; i < size; i++ {
-			id := g.AddNode("", 1, 0, b)
-			if i > 0 {
-				g.MustEdge(prev, id, 1, 0)
-			}
-			prev = id
-		}
-	}
-	return g
-}
-
-// TestSpeculativeLaneBHints schedules a maximally repetitive trace twice
-// through one step cache: the first run's joins store cut-neighborhood
-// hints, so the second run's workers must seed from them (lane B), skip the
-// warm-up, and still verify and produce bit-identical output.
-func TestSpeculativeLaneBHints(t *testing.T) {
-	g := repetitiveChainTrace(48, 8)
-	m := machine.SingleUnit(4)
-	seq, err := LookaheadOpts(g, m, Options{Parallel: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewStepCache(StepCacheConfig{})
-	defer sc.Release()
-	first, err := LookaheadOpts(g, m, Options{Parallel: 4, StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "laneB-first", seq, first)
-	before := SpecCounters()
-	second, err := LookaheadOpts(g, m, Options{Parallel: 4, StepCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "laneB-second", seq, second)
-	d := diffSpec(before, SpecCounters())
-	if d.LaneB == 0 {
-		t.Fatalf("second run used no join hints (segments=%d hits=%d misses=%d)",
-			d.Segments, d.Hits, d.Misses)
-	}
-	if d.Hits != d.Segments {
-		t.Fatalf("hint-seeded run should fully verify: hits=%d of %d segments", d.Hits, d.Segments)
 	}
 }
 
@@ -328,7 +276,9 @@ func TestSpeculativeWorkerPanic(t *testing.T) {
 	m := machine.SingleUnit(4)
 	csr := graph.NewCSR(g)
 	opt := Options{Parallel: 4}
-	plan := parallelPlan(csr, &opt)
+	var gr blockGroups
+	gr.build(csr)
+	plan := parallelPlan(csr, &opt, &gr)
 	if plan == nil {
 		t.Fatal("no parallel plan for the 64-block trace")
 	}

@@ -16,7 +16,7 @@ import (
 // Step is the reusable per-block engine of Algorithm Lookahead: one
 // merge (paper Figure 7) + Delay_Idle_Slots (§3) + Chop (Figure 6) iteration
 // over an old ∪ new adjacency view. Both drivers funnel through it — the
-// batch LookaheadOpts loop and the incremental internal/stream scheduler —
+// batch trace walk (traceWalk) and the incremental internal/stream scheduler —
 // so a streamed trace is processed by exactly the code that processes a
 // batch trace, and bit-identical results fall out by construction.
 //

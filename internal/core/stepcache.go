@@ -77,7 +77,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"aisched/internal/graph"
 	"aisched/internal/memo"
@@ -123,18 +122,8 @@ type StepCacheConfig struct {
 // concurrent use: one cache is shared by every worker of a batch Scheduler
 // (fragments are immutable once stored; each worker's Step replays into its
 // own scratch).
-//
-// It also carries the speculative join-hint table (parallel.go): small
-// block-relative snapshots of the carried-suffix state observed at segment
-// cuts, keyed by the cut's structural neighborhood, which seed the second
-// speculation lane on repetitive traces. Hints are advisory — a wrong hint
-// only costs a failed verification — so the table is a plain bounded map
-// under one mutex, touched once per segment, never on the merge hot path.
 type StepCache struct {
 	c *memo.Cache
-
-	hintMu sync.Mutex
-	hints  map[graph.Hash128]*specHint
 }
 
 // NewStepCache builds a step cache.
@@ -151,15 +140,9 @@ func NewStepCache(cfg StepCacheConfig) *StepCache {
 func (sc *StepCache) Counters() memo.Counters { return sc.c.Counters() }
 
 // Release drops every resident fragment, returning their bytes to the
-// process-wide gauge, and clears the speculative join-hint table. Owners
-// with bounded lifetimes (a closed stream) call this so the resident-bytes
-// metric tracks live caches.
-func (sc *StepCache) Release() {
-	sc.c.Release()
-	sc.hintMu.Lock()
-	sc.hints = nil
-	sc.hintMu.Unlock()
-}
+// process-wide gauge. Owners with bounded lifetimes (a closed stream) call
+// this so the resident-bytes metric tracks live caches.
+func (sc *StepCache) Release() { sc.c.Release() }
 
 // stepFrag is one cached Step outcome. All cycles are chop-frame-relative
 // and all node references are view IDs, which is what makes the fragment

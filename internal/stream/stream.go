@@ -291,7 +291,7 @@ func (e *Scheduler) Push(b Block, bud *sbudget.State) ([]*BlockResult, error) {
 		}
 	}
 	e.keep = growSlice(e.keep, n)
-	clearBools(e.keep)
+	clear(e.keep)
 	e.carryOrder = e.carryOrder[:0]
 	for _, si := range out.Plus {
 		if cut >= 0 && s.Finish(si) <= cut {
@@ -354,7 +354,7 @@ func (e *Scheduler) Flush() ([]*BlockResult, error) {
 		e.commit(si, e.absS[si], e.absU[si])
 	}
 	e.carryOrder = e.carryOrder[:0]
-	clearBools(e.keep)
+	clear(e.keep)
 	e.timeBase += e.oldMakespan
 	e.oldMakespan = 0
 	return e.pop(e.pushed), nil
@@ -424,7 +424,7 @@ func (e *Scheduler) degrade(reason string) ([]*BlockResult, error) {
 	}
 	e.carryOrder = e.carryOrder[:0]
 	e.keep = growSlice(e.keep, n)
-	clearBools(e.keep)
+	clear(e.keep)
 	e.oldMakespan = 0
 	e.timeBase += s.Makespan()
 	return e.pop(e.pushed - 1), nil
@@ -529,7 +529,7 @@ func (e *Scheduler) ingest(b Block) error {
 	// the new block's dependences. Count, prefix-sum, fill.
 	e.degCnt = growSlice(e.degCnt, n)
 	deg := e.degCnt
-	clearInt32(deg)
+	clear(deg)
 	for v := 0; v < nPrev; v++ {
 		sv := remap[v]
 		if sv < 0 {
@@ -622,16 +622,4 @@ func growSlice[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-func clearBools(b []bool) {
-	for i := range b {
-		b[i] = false
-	}
-}
-
-func clearInt32(b []int32) {
-	for i := range b {
-		b[i] = 0
-	}
 }
