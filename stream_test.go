@@ -14,6 +14,8 @@ package aisched
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -136,14 +138,31 @@ func TestStreamUnboundedBitIdenticalToBatch(t *testing.T) {
 
 // TestStreamLegalAcrossLookahead: every lookahead — fully online through
 // unbounded — must emit a complete, dependence- and resource-legal schedule
-// with emit lag bounded by k, on single- and multi-unit machines.
+// with emit lag bounded by k, on single- and multi-unit machines. Finite k
+// has no batch oracle, so every BlockResult (block, order, starts, units,
+// lag) is also folded into one digest per (machine, k) and pinned to the
+// value the engine produced when the digests were recorded: any change to
+// a streamed schedule at any k shows up here.
 func TestStreamLegalAcrossLookahead(t *testing.T) {
 	machines := map[string]*Machine{
 		"single-w4": SingleUnit(4),
 		"rs6000":    machine.RS6000(4),
 	}
+	wantDigest := map[string]uint64{
+		"single-w4 k=0":   0xcb7ed410fcf16a91,
+		"single-w4 k=1":   0x8e45fce6fe81d211,
+		"single-w4 k=2":   0x3e22257693c48c57,
+		"single-w4 k=4":   0x695b4fff73ac77ce,
+		"single-w4 k=inf": 0x7dda68bee378dfab,
+		"rs6000 k=0":      0xcb7ed410fcf16a91,
+		"rs6000 k=1":      0xe69af3c88fec8db0,
+		"rs6000 k=2":      0x9d7e0db2074463b6,
+		"rs6000 k=4":      0x8dc929b8522d0cc5,
+		"rs6000 k=inf":    0x8dc929b8522d0cc5,
+	}
 	for mname, m := range machines {
 		for _, k := range []int{0, 1, 2, 4, LookaheadUnbounded} {
+			h := fnv.New64a()
 			for seed := int64(1); seed <= 10; seed++ {
 				g, err := workload.Trace(rand.New(rand.NewSource(seed)), workload.DefaultTrace())
 				if err != nil {
@@ -151,6 +170,9 @@ func TestStreamLegalAcrossLookahead(t *testing.T) {
 				}
 				results := streamAll(t, g, m, StreamOptions{Lookahead: k})
 				streamSchedule(t, g, m, results)
+				for _, r := range results {
+					fmt.Fprint(h, r.Block, r.Order, r.Start, r.Unit, r.Lag, ";")
+				}
 				for i, r := range results {
 					if r.Block != i {
 						t.Fatalf("%s k=%d seed %d: block %d emitted at position %d", mname, k, seed, r.Block, i)
@@ -162,6 +184,13 @@ func TestStreamLegalAcrossLookahead(t *testing.T) {
 						t.Fatalf("%s k=%d seed %d: unexpected degradation %q", mname, k, seed, r.Degraded)
 					}
 				}
+			}
+			tag := fmt.Sprintf("%s k=%d", mname, k)
+			if k == LookaheadUnbounded {
+				tag = mname + " k=inf"
+			}
+			if got := h.Sum64(); got != wantDigest[tag] {
+				t.Errorf("%s: schedule digest %#x, want %#x", tag, got, wantDigest[tag])
 			}
 		}
 	}
