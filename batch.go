@@ -48,9 +48,6 @@ type SchedulerOptions struct {
 	// CacheCapacity is the total cached-result budget (0 = default 4096).
 	// Negative disables caching entirely: every call recomputes.
 	CacheCapacity int
-	// CacheShards is the number of cache lock shards (0 = default 16;
-	// rounded up to a power of two, minimum 16).
-	CacheShards int
 	// CacheMaxBytes bounds the schedule cache's approximate resident bytes
 	// (0 = default 64 MiB; negative = entry-count bound only).
 	CacheMaxBytes int
@@ -105,7 +102,6 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 		s.cache = memo.New(memo.Config{
 			Capacity: opt.CacheCapacity,
 			MaxBytes: opt.CacheMaxBytes,
-			Shards:   opt.CacheShards,
 			Tracer:   opt.Tracer,
 		})
 	}

@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -63,15 +64,14 @@ type laScratch struct {
 	stepIn StepIn
 	sub    graph.Sub
 
-	ids       []graph.NodeID
-	oldIDs    []graph.NodeID
-	plusOrder []graph.NodeID
-	emitted   []graph.NodeID
-	tie       []graph.NodeID
-	isOld     []bool
-	dv        []int // per-view carried deadlines handed to Step
-	fv        []int // per-view carried finishes handed to Step
-	rv        []int // per-view carried releases handed to Step
+	ids     []graph.NodeID
+	oldIDs  []graph.NodeID
+	emitted []graph.NodeID
+	tie     []graph.NodeID
+	isOld   []bool
+	// dfr holds the per-view carried deadlines, finishes and releases
+	// handed to Step, one view-sized run each.
+	dfr []int
 
 	blockOff []int
 }
@@ -96,6 +96,11 @@ func growSlice[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
+}
+
+// growKeep returns buf resized to n, keeping its first k elements.
+func growKeep[T any](buf []T, k, n int) []T {
+	return slices.Grow(buf[:k], n-k)[:n]
 }
 
 // growBits returns a zeroed n-bit bitset, reusing b's backing when possible.
@@ -265,7 +270,7 @@ func LookaheadOpts(g *graph.Graph, m *machine.Machine, opt Options) (*Result, er
 	if err := w.runGroups(0, w.groups.ngroups()); err != nil {
 		return nil, err
 	}
-	w.emitted = append(w.emitted, w.plusOrder...)
+	w.flush()
 	w.finish()
 
 	out, err := assembleResult(g, m, csr, scratch, w.emitted, w.absStart, w.absUnit)
@@ -328,10 +333,15 @@ type floorWrite struct {
 }
 
 // traceWalk is Algorithm Lookahead's per-block walk: merge + delay + chop
-// over block groups, carrying the suffix state between blocks.
-// LookaheadOpts runs it over the whole trace; the speculative parallel
+// block by block, carrying the suffix state between blocks. It is the only
+// walk: LookaheadOpts runs it over the whole trace, the speculative parallel
 // driver and its workers (parallel.go) run it over group ranges from
-// different entry states.
+// different entry states, and the streaming engine (stream.go) advances it
+// one pushed block at a time.
+//
+// Per-node state is dense by walk ID. A batch walk's IDs are the trace's
+// node IDs; a stream's are indices into its compacted live store, which
+// compact renumbers with the store.
 type traceWalk struct {
 	scratch *laScratch
 	csr     *graph.CSR
@@ -347,8 +357,8 @@ type traceWalk struct {
 	// Stitched absolute schedule: frames advance by each chop's base.
 	absStart []int
 	absUnit  []int
-	dOld     []int // deadlines of carried nodes, dense by original ID
-	fOld     []int // finish times of carried nodes, dense by original ID
+	dOld     []int // deadlines of carried nodes
+	fOld     []int // finish times of carried nodes
 	// relAbs[v] is the absolute earliest start owed to v by latencies of
 	// already-committed predecessors. Chop commits a prefix and drops its
 	// nodes — and their out-edges — from every later view, so each committed
@@ -360,9 +370,10 @@ type traceWalk struct {
 	// it and predict an illegal start.
 	relAbs []int
 
-	emitted   []graph.NodeID
-	oldIDs    []graph.NodeID // original IDs carried forward
-	plusOrder []graph.NodeID // S+ of the most recent iteration, original IDs
+	emitted []graph.NodeID // committed IDs, in emission order
+	// oldIDs is the carried suffix: S+ of the most recent iteration, in
+	// schedule order.
+	oldIDs []graph.NodeID
 	// maxOld is the largest carried ID, so the step cache's canonical-layout
 	// gate is O(1) per block.
 	maxOld graph.NodeID
@@ -407,7 +418,6 @@ func (w *traceWalk) init(csr *graph.CSR, m *machine.Machine, opt *Options, gr *b
 	clear(w.relAbs)
 	w.emitted = scratch.emitted[:0]
 	w.oldIDs = scratch.oldIDs[:0]
-	w.plusOrder = scratch.plusOrder[:0]
 	w.maxOld = graph.NodeID(-1)
 	w.oldMakespan = 0
 	w.timeBase = 0
@@ -422,7 +432,6 @@ func (w *traceWalk) init(csr *graph.CSR, m *machine.Machine, opt *Options, gr *b
 func (w *traceWalk) finish() {
 	w.scratch.emitted = w.emitted[:0]
 	w.scratch.oldIDs = w.oldIDs[:0]
-	w.scratch.plusOrder = w.plusOrder[:0]
 }
 
 // runGroups advances the walk over block groups [gLo, gHi). Each block is a
@@ -434,99 +443,165 @@ func (w *traceWalk) runGroups(gLo, gHi int) error {
 		if err := w.budget.Check(); err != nil {
 			return err
 		}
-		newIDs := gr.byBlock[gr.off[gi]:gr.off[gi+1]]
 		// cur = old ∪ new, as an induced view of the trace CSR (ascending
 		// IDs; old and new are disjoint).
 		ids := append(scratch.ids[:0], w.oldIDs...)
-		ids = append(ids, newIDs...)
+		ids = append(ids, gr.byBlock[gr.off[gi]:gr.off[gi+1]]...)
 		scratch.ids = ids
 		slices.Sort(ids)
 		scratch.sub.Init(w.csr, ids)
-		sn := scratch.sub.Len()
-		view := scratch.sub.View()
-
-		scratch.isOld = growSlice(scratch.isOld, sn)
-		isOld := scratch.isOld
-		clear(isOld)
-		for _, id := range w.oldIDs {
-			isOld[scratch.sub.ToSub(id)] = true
-		}
-		if w.tiePos != nil {
-			scratch.tie = subTieInto(scratch.tie, ids, w.tiePos)
-		} else {
-			scratch.tie = growSlice(scratch.tie, sn)
-			for i := range scratch.tie {
-				scratch.tie[i] = graph.NodeID(i)
-			}
-		}
-		scratch.dv = growSlice(scratch.dv, sn)
-		scratch.fv = growSlice(scratch.fv, sn)
-		scratch.rv = growSlice(scratch.rv, sn)
-		rv := scratch.rv
-		for si := 0; si < sn; si++ {
-			if isOld[si] {
-				scratch.dv[si] = w.dOld[ids[si]]
-				scratch.fv[si] = w.fOld[ids[si]]
-			}
-			rv[si] = w.relAbs[ids[si]] - w.timeBase
-		}
-		// The merge + Delay_Idle_Slots + chop iteration itself lives in
-		// Step.Run, shared verbatim with the streaming driver.
-		scratch.stepIn = StepIn{
-			View: view, M: w.m, Tie: scratch.tie, IsOld: isOld,
-			DOld: scratch.dv, FOld: scratch.fv, ROld: rv,
-			OldCount: len(w.oldIDs), OldMakespan: w.oldMakespan,
-			Block: gr.blk[gi], SkipDelay: w.skip,
-			Tracer: w.tracer, Budget: w.budget,
-		}
-		// Step-cache canonical-layout gate: caching requires the identity
-		// tie-break and the carried suffix to occupy the view's ID prefix,
-		// i.e. every carried original ID below every new one.
-		canon := w.tiePos == nil && (len(w.oldIDs) == 0 || w.maxOld < newIDs[0])
-		out, err := scratch.step.RunMemo(&scratch.stepIn, w.sc, canon)
-		if err != nil {
+		if err := w.advance(scratch.sub.View(), ids, gr.blk[gi], noForce); err != nil {
 			return err
 		}
-		s, d := out.S, out.D
-		for _, si := range out.Minus {
-			oi := ids[si]
-			w.emitted = append(w.emitted, oi)
-			w.absStart[oi] = s.Start[si] + w.timeBase
-			w.absUnit[oi] = s.Unit[si]
-			// The committed node's out-edges vanish from every later view;
-			// record their latency lower bounds as absolute releases on the
-			// destinations — carried nodes and nodes of blocks that have not
-			// even arrived yet alike.
-			f := w.absStart[oi] + int(w.gview.Exec[oi])
-			for ei := w.gview.Off[oi]; ei < w.gview.Off[oi+1]; ei++ {
-				if r := f + int(w.gview.Lat[ei]); r > w.relAbs[w.gview.Dst[ei]] {
-					w.relAbs[w.gview.Dst[ei]] = r
-					if w.logFloors {
-						w.floorLog = append(w.floorLog, floorWrite{dst: w.gview.Dst[ei], r: r})
-					}
-				}
-			}
-		}
-		w.oldIDs = w.oldIDs[:0]
-		w.plusOrder = w.plusOrder[:0]
-		w.maxOld = graph.NodeID(-1)
-		for _, si := range out.Plus {
-			oi := ids[si]
-			w.oldIDs = append(w.oldIDs, oi)
-			if oi > w.maxOld {
-				w.maxOld = oi
-			}
-			w.dOld[oi] = d[si] - out.Base
-			w.fOld[oi] = s.Finish(si) - out.Base
-			w.plusOrder = append(w.plusOrder, oi)
-			// Tentative placement; overwritten if a later merge reorders it.
-			w.absStart[oi] = s.Start[si] + w.timeBase
-			w.absUnit[oi] = s.Unit[si]
-		}
-		w.oldMakespan = s.Makespan() - out.Base
-		w.timeBase += out.Base
 	}
 	return nil
+}
+
+// noForce is advance's force argument that finalizes by the chop rule
+// alone.
+const noForce = math.MinInt
+
+// advance runs one merge + Delay_Idle_Slots + chop iteration (Step.RunMemo)
+// over view, the old ∪ new view of the carried suffix and block blk, whose
+// ascending ids map view IDs to walk IDs. It commits the chopped prefix and
+// carries the suffix. Carried nodes of blocks ≤ force are committed too —
+// the streaming engine's finite-lookahead finalization — together with
+// every carried node that finishes no later than they do, so the committed
+// set stays a prefix of the schedule's time order, like any chop; the next
+// frame then starts at that cut.
+func (w *traceWalk) advance(view graph.AdjView, ids []graph.NodeID, blk, force int) error {
+	scratch := w.scratch
+	sn := view.N
+	scratch.isOld = growSlice(scratch.isOld, sn)
+	isOld := scratch.isOld
+	for si := range isOld {
+		isOld[si] = int(view.Block[si]) != blk
+	}
+	var tie []graph.NodeID // nil: program order
+	if w.tiePos != nil {
+		scratch.tie = subTieInto(scratch.tie, ids, w.tiePos)
+		tie = scratch.tie
+	}
+	scratch.dfr = growSlice(scratch.dfr, 3*sn)
+	dv, fv, rv := scratch.dfr[:sn], scratch.dfr[sn:2*sn], scratch.dfr[2*sn:]
+	for si := 0; si < sn; si++ {
+		if isOld[si] {
+			dv[si] = w.dOld[ids[si]]
+			fv[si] = w.fOld[ids[si]]
+		}
+		rv[si] = w.relAbs[ids[si]] - w.timeBase
+	}
+	nOld := len(w.oldIDs)
+	scratch.stepIn = StepIn{
+		View: view, M: w.m, Tie: tie, IsOld: isOld,
+		DOld: dv, FOld: fv, ROld: rv,
+		OldCount: nOld, OldMakespan: w.oldMakespan,
+		Block: blk, SkipDelay: w.skip,
+		Tracer: w.tracer, Budget: w.budget,
+	}
+	// Step-cache canonical-layout gate: caching requires the identity
+	// tie-break and the carried suffix to occupy the view's ID prefix,
+	// i.e. every carried ID below every new one.
+	canon := w.tiePos == nil && (nOld == 0 || w.maxOld < ids[nOld])
+	out, err := scratch.step.RunMemo(&scratch.stepIn, w.sc, canon)
+	if err != nil {
+		return err
+	}
+	s, d := out.S, out.D
+	cut := -1
+	for _, si := range out.Plus {
+		if int(view.Block[si]) <= force {
+			cut = max(cut, s.Finish(si))
+		}
+	}
+	base := max(out.Base, cut)
+	for _, si := range out.Minus {
+		w.commit(ids[si], s.Start[si], s.Unit[si])
+	}
+	w.oldIDs = w.oldIDs[:0]
+	w.maxOld = graph.NodeID(-1)
+	for _, si := range out.Plus {
+		oi := ids[si]
+		if s.Finish(si) <= cut {
+			w.commit(oi, s.Start[si], s.Unit[si])
+			continue
+		}
+		w.oldIDs = append(w.oldIDs, oi)
+		w.maxOld = max(w.maxOld, oi)
+		w.dOld[oi] = d[si] - base
+		w.fOld[oi] = s.Finish(si) - base
+		// Tentative placement; overwritten if a later merge reorders it.
+		w.absStart[oi] = s.Start[si] + w.timeBase
+		w.absUnit[oi] = s.Unit[si]
+	}
+	w.oldMakespan = s.Makespan() - base
+	w.timeBase += base
+	return nil
+}
+
+// commit emits walk node id at (start, unit) of the current frame. Its
+// out-edges vanish from every later view, so their latency lower bounds
+// become absolute releases on the destinations — carried nodes and nodes of
+// blocks that have not even arrived yet alike.
+func (w *traceWalk) commit(id graph.NodeID, start, unit int) {
+	w.emitted = append(w.emitted, id)
+	w.absStart[id] = start + w.timeBase
+	w.absUnit[id] = unit
+	f := w.absStart[id] + int(w.gview.Exec[id])
+	for ei := w.gview.Off[id]; ei < w.gview.Off[id+1]; ei++ {
+		if r := f + int(w.gview.Lat[ei]); r > w.relAbs[w.gview.Dst[ei]] {
+			w.relAbs[w.gview.Dst[ei]] = r
+			if w.logFloors {
+				w.floorLog = append(w.floorLog, floorWrite{dst: w.gview.Dst[ei], r: r})
+			}
+		}
+	}
+}
+
+// flush emits the carried suffix at its tentative placement — the walk's
+// trailing emission — and moves the frame past it: a later block starts
+// from the empty suffix.
+func (w *traceWalk) flush() {
+	w.emitted = append(w.emitted, w.oldIDs...)
+	w.oldIDs = w.oldIDs[:0]
+	w.maxOld = graph.NodeID(-1)
+	w.timeBase += w.oldMakespan
+	w.oldMakespan = 0
+}
+
+// compact renumbers the walk for a compacted ID space, the streaming
+// engine's live store: the carried suffix moves to IDs [0, len(oldIDs)) in
+// ascending order of its current IDs, and the per-node state is resized to
+// n IDs, the new ones without a release floor. remap, sized to the current
+// ID space, receives each ID's new ID, or −1 for an ID not carried.
+func (w *traceWalk) compact(remap []int32, n int) {
+	for id := range remap {
+		remap[id] = -1
+	}
+	for _, id := range w.oldIDs {
+		remap[id] = 0
+	}
+	kept := 0
+	for id, nid := range remap {
+		if nid < 0 {
+			continue
+		}
+		remap[id] = int32(kept)
+		w.dOld[kept], w.fOld[kept], w.relAbs[kept] = w.dOld[id], w.fOld[id], w.relAbs[id]
+		w.absStart[kept], w.absUnit[kept] = w.absStart[id], w.absUnit[id]
+		kept++
+	}
+	for i, id := range w.oldIDs {
+		w.oldIDs[i] = graph.NodeID(remap[id])
+	}
+	w.maxOld = graph.NodeID(kept - 1)
+	w.dOld = growKeep(w.dOld, kept, n)
+	w.fOld = growKeep(w.fOld, kept, n)
+	w.absStart = growKeep(w.absStart, kept, n)
+	w.absUnit = growKeep(w.absUnit, kept, n)
+	w.relAbs = growKeep(w.relAbs, kept, n)
+	clear(w.relAbs[kept:])
+	w.emitted = slices.Grow(w.emitted, n) // what a block over n IDs can emit
 }
 
 // assembleResult packages a completed walk's absolute placements and
@@ -570,7 +645,7 @@ func assembleResult(g *graph.Graph, m *machine.Machine, csr *graph.CSR,
 		if cnt[bb] == 0 {
 			continue
 		}
-		out.BlockOrders[bb] = backing[off:off : off+cnt[bb]]
+		out.BlockOrders[bb] = backing[off : off : off+cnt[bb]]
 		off += cnt[bb]
 	}
 	for _, id := range emitted {

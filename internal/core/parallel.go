@@ -293,9 +293,9 @@ func chooseCuts(gr *blockGroups, nseg int) []int {
 func (w *traceWalk) stateFP() graph.Hash128 {
 	var h graph.Hasher
 	h.Reset(specFPSeed)
-	h.Int(len(w.plusOrder))
+	h.Int(len(w.oldIDs))
 	h.Int(w.oldMakespan)
-	for _, id := range w.plusOrder {
+	for _, id := range w.oldIDs {
 		h.Int(int(id))
 		h.Int(w.dOld[id])
 		h.Int(w.fOld[id])
@@ -308,8 +308,8 @@ func (w *traceWalk) stateFP() graph.Hash128 {
 // [gLo, gHi) under an assumed entry state, plus the snapshot of that
 // assumption the driver verifies at the join.
 type specWorker struct {
-	walk    traceWalk
-	scratch *laScratch
+	walk     traceWalk
+	scratch  *laScratch
 	gLo, gHi int
 
 	entryFP  graph.Hash128
@@ -422,7 +422,7 @@ func lookaheadParallel(g *graph.Graph, m *machine.Machine, opt Options, csr *gra
 		workers[k] = nil
 	}
 
-	drv.emitted = append(drv.emitted, drv.plusOrder...)
+	drv.flush()
 	drv.finish()
 	return assembleResult(g, m, csr, drv.scratch, drv.emitted, drv.absStart, drv.absUnit)
 }
@@ -441,10 +441,9 @@ func (drv *traceWalk) splice(wk *specWorker) {
 	}
 	drv.emitted = append(drv.emitted, w.emitted...)
 	drv.oldIDs = append(drv.oldIDs[:0], w.oldIDs...)
-	drv.plusOrder = append(drv.plusOrder[:0], w.plusOrder...)
 	drv.maxOld = w.maxOld
 	drv.oldMakespan = w.oldMakespan
-	for _, id := range w.plusOrder {
+	for _, id := range w.oldIDs {
 		drv.dOld[id] = w.dOld[id]
 		drv.fOld[id] = w.fOld[id]
 		drv.absStart[id] = w.absStart[id] + delta

@@ -15,10 +15,11 @@ import (
 
 // Step is the reusable per-block engine of Algorithm Lookahead: one
 // merge (paper Figure 7) + Delay_Idle_Slots (§3) + Chop (Figure 6) iteration
-// over an old ∪ new adjacency view. Both drivers funnel through it — the
-// batch trace walk (traceWalk) and the incremental internal/stream scheduler —
-// so a streamed trace is processed by exactly the code that processes a
-// batch trace, and bit-identical results fall out by construction.
+// over an old ∪ new adjacency view. Its one caller is the trace walk's
+// per-block method (traceWalk.advance), which the batch, speculative and
+// streaming drivers all run, so a streamed trace is processed by exactly the
+// code that processes a batch trace, and bit-identical results fall out by
+// construction.
 //
 // A Step owns its rank context (arena included) and all merge scratch;
 // Run resets the context per view, so steady-state iterations allocate only
@@ -59,7 +60,7 @@ type Step struct {
 type StepIn struct {
 	View graph.AdjView
 	M    *machine.Machine
-	// Tie is the rank tie-break order over view IDs.
+	// Tie is the rank tie-break order over view IDs; nil is program order.
 	Tie []graph.NodeID
 	// IsOld marks the carried-suffix nodes of the view.
 	IsOld []bool

@@ -47,12 +47,13 @@ package core
 // Caching requires the view to be in canonical layout: the carried suffix
 // occupies view IDs [0, OldCount) in ascending previous-view order, the new
 // block occupies [OldCount, N), and the rank tie-break is the identity
-// permutation (program order). The streaming engine guarantees this by
-// construction; the batch driver guarantees it whenever the trace's node IDs
-// are grouped by block (every carried ID below every new ID) and no custom
-// Tie is set, and bypasses the cache otherwise. Bypassed or failed steps
-// invalidate the carried fingerprint; the next full Run recomputes it from
-// its output, so cache coverage resumes one miss later.
+// permutation (program order). The trace walk (traceWalk.advance) checks
+// this per block: every carried ID below every new ID and no custom Tie.
+// It always holds on a stream, whose live store keeps the carried suffix
+// first, and on a batch trace whose node IDs are grouped by block; the walk
+// bypasses the cache otherwise. Bypassed or failed steps invalidate the
+// carried fingerprint; the next full Run recomputes it from its output, so
+// cache coverage resumes one miss later.
 //
 // # Fragment and relocation
 //
@@ -106,7 +107,8 @@ var emptySuffixFP = func() graph.Hash128 {
 }()
 
 // StepCacheConfig sizes a StepCache. The zero value picks the memo layer's
-// defaults (4096 fragments, 64 MiB, 16 shards).
+// defaults (4096 fragments, 64 MiB); the lock-shard count is memo's default
+// 16.
 type StepCacheConfig struct {
 	// Capacity is the total fragment budget (0 = default; the cache is
 	// byte-bounded too, see MaxBytes).
@@ -114,8 +116,6 @@ type StepCacheConfig struct {
 	// MaxBytes bounds approximate resident fragment bytes (0 = default
 	// 64 MiB, negative = unbounded).
 	MaxBytes int
-	// Shards is the lock-shard count (0 = default 16).
-	Shards int
 }
 
 // StepCache memoizes Step.Run outcomes as relocatable fragments. Safe for
@@ -131,7 +131,6 @@ func NewStepCache(cfg StepCacheConfig) *StepCache {
 	return &StepCache{c: memo.New(memo.Config{
 		Capacity: cfg.Capacity,
 		MaxBytes: cfg.MaxBytes,
-		Shards:   cfg.Shards,
 		Metrics:  memo.StepMetrics,
 	})}
 }
@@ -167,9 +166,10 @@ func (f *stepFrag) ApproxBytes() int {
 	return 96 + 4*(len(f.start)+len(f.unit)+len(f.d)+len(f.minus)+len(f.plus))
 }
 
-// RunMemo is Step.Run behind the step cache. canonical reports that the
-// caller guarantees the canonical layout precondition (see the package
-// comment); when it is false, sc is nil, or a tracer wants per-pass events
+// RunMemo is Step.Run behind the step cache, called once per block by the
+// trace walk (traceWalk.advance). canonical reports that the caller
+// guarantees the canonical layout precondition (see the package comment);
+// when it is false, sc is nil, or a tracer wants per-pass events
 // (a replayed hit emits none), the call falls through to Run and the carried
 // fingerprint is invalidated. On a miss the full Run executes, the outgoing
 // suffix is fingerprinted, and the outcome is stored; on a hit the fragment
@@ -263,9 +263,9 @@ func (st *Step) stepKey(in *StepIn) memo.Key {
 }
 
 // suffixFP fingerprints the outgoing suffix of a completed step: the Plus
-// nodes in ascending view-ID order — exactly the next view's prefix order in
-// both drivers — with their attributes, dense block ordinal, and carried
-// deadline/finish rebased to the chop frame. O(view), paid once per miss.
+// nodes in ascending view-ID order — exactly the next view's prefix order —
+// with their attributes, dense block ordinal, and carried deadline/finish
+// rebased to the chop frame. O(view), paid once per miss.
 func (st *Step) suffixFP(in *StepIn, out *StepOut) graph.Hash128 {
 	n := in.View.N
 	st.plusMask = growSlice(st.plusMask, n)

@@ -48,6 +48,16 @@ if grep -rn --include='*.go' 'map\[graph\.NodeID\]' \
 	echo "check: FAIL — map[graph.NodeID] in engine non-test code (use dense slices)" >&2
 	exit 1
 fi
+echo "== one trace walker: a single non-test RunMemo call site"
+# Algorithm Lookahead has one per-block walk, traceWalk.advance, shared by
+# the batch, speculative and streaming drivers; a second call into the step
+# cache means a second walk has grown back.
+n=$(grep -rn --include='*.go' '\.RunMemo(' . | grep -vc '_test\.go:' || true)
+if [ "$n" -gt 1 ]; then
+	grep -rn --include='*.go' '\.RunMemo(' . | grep -v '_test\.go:' >&2
+	echo "check: FAIL — $n non-test RunMemo call sites (one walker: traceWalk.advance)" >&2
+	exit 1
+fi
 echo "== metrics record path must stay zero-alloc and lock/map-free"
 # The always-on metrics layer is only viable because recording is a handful
 # of striped atomics. Two guards: the allocs-per-op test must report exactly

@@ -1,9 +1,9 @@
 package aisched
 
 // Streaming facade: schedule a trace block by block as it arrives, instead
-// of materializing the whole dependence graph first. Each Push runs one
-// merge + Delay_Idle_Slots + chop step (the same core engine as
-// ScheduleTrace) against only the carried suffix, so the first block's
+// of materializing the whole dependence graph first. Each Push advances the
+// same trace walk as ScheduleTrace by one merge + Delay_Idle_Slots + chop
+// step against only the carried suffix (core.Stream), so the first block's
 // schedule is available after one push — O(block) time-to-first-schedule —
 // and memory stays bounded by the suffix plus the lookahead window.
 //
@@ -31,26 +31,25 @@ import (
 	"aisched/internal/metrics"
 	"aisched/internal/obs"
 	"aisched/internal/sbudget"
-	"aisched/internal/stream"
 )
 
 // Streaming type aliases.
 type (
 	// StreamBlock is one basic block fed to a StreamScheduler.
-	StreamBlock = stream.Block
+	StreamBlock = core.StreamBlock
 	// StreamNode is one instruction of a StreamBlock.
-	StreamNode = stream.Node
+	StreamNode = core.StreamNode
 	// StreamDep is a dependence edge into the block being pushed.
-	StreamDep = stream.Dep
+	StreamDep = core.StreamDep
 	// BlockResult is one finalized block: its static order and predicted
 	// absolute placement.
-	BlockResult = stream.BlockResult
+	BlockResult = core.BlockResult
 )
 
 // LookaheadUnbounded makes finality purely chop-driven: the streamed output
 // is bit-identical to batch ScheduleTrace, at the cost of unbounded emit lag
 // on adversarial traces.
-const LookaheadUnbounded = stream.Unbounded
+const LookaheadUnbounded = core.LookaheadUnbounded
 
 // ErrStreamClosed is returned by operations on a closed StreamScheduler.
 var ErrStreamClosed = errors.New("aisched: stream scheduler closed")
@@ -101,7 +100,7 @@ type StreamOptions struct {
 // pushes are serialized.
 type StreamScheduler struct {
 	mu        sync.Mutex
-	eng       *stream.Scheduler
+	eng       *core.Stream
 	stepCache *core.StepCache // nil when step caching is disabled
 	budget    Budget
 	tracer    Tracer
@@ -122,11 +121,7 @@ func NewStreamScheduler(m *Machine, opt StreamOptions) *StreamScheduler {
 			MaxBytes: opt.StepCacheMaxBytes,
 		})
 	}
-	ss.eng = stream.New(m, stream.Options{
-		Lookahead: opt.Lookahead,
-		Tracer:    opt.Tracer,
-		StepCache: ss.stepCache,
-	})
+	ss.eng = core.NewStream(m, opt.Lookahead, opt.Tracer, ss.stepCache)
 	return ss
 }
 
