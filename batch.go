@@ -1,23 +1,26 @@
 package aisched
 
-// Throughput layer: a memoizing Scheduler plus the parallel batch API.
+// Throughput layer: a caching Scheduler plus the parallel batch API.
 //
-// Scheduler wraps the package-level entry points (ScheduleBlock,
-// ScheduleTrace, ScheduleLoop) with a content-addressed result cache
-// (internal/memo keyed by graph.Fingerprint): re-submitting the same block —
-// even rebuilt with different labels, edge insertion order, or machine name —
-// returns the memoized schedule without recomputation, and concurrent
-// requests for the same block compute it once. ScheduleBatch fans a slice of
-// scheduling requests over a GOMAXPROCS-bounded worker pool with results in
-// deterministic input order; ScheduleProgram runs the whole front-end →
-// trace-selection → batch-scheduling pipeline for a compiled mini-C program.
+// Scheduler wraps the package-level entry points with the reuse each one
+// pays for. ScheduleBlock and ScheduleLoop go through a content-addressed
+// result cache (internal/memo keyed by graph.Fingerprint): re-submitting the
+// same block — even rebuilt with different labels, edge insertion order, or
+// machine name — returns the memoized schedule without recomputation, and
+// concurrent requests for the same block compute it once. ScheduleTrace is
+// not memoized whole: long traces rarely repeat, and a repeated one replays
+// block by block from the structural step cache. ScheduleBatch fans a slice
+// of scheduling requests over a GOMAXPROCS-bounded worker pool with results
+// in deterministic input order, scheduling each distinct trace in the batch
+// once; ScheduleProgram runs the whole front-end → trace-selection →
+// batch-scheduling pipeline for a compiled mini-C program.
 //
 // Determinism guarantee: every result a Scheduler returns is bit-identical
 // to what the corresponding package-level call would return for the same
 // graph and machine — cached or not, serial or batched. Cached values are
-// stored detached (no reference to any caller's graph) and every return is a
-// fresh clone rebound to the calling request's Graph/Machine pointers, so
-// callers may mutate results freely.
+// stored detached (no reference to any caller's graph), and every cached or
+// shared result is returned as a fresh clone rebound to the calling
+// request's Graph/Machine pointers, so callers may mutate results freely.
 
 import (
 	"context"
@@ -31,6 +34,7 @@ import (
 	"aisched/internal/core"
 	"aisched/internal/deps"
 	"aisched/internal/faultinject"
+	"aisched/internal/graph"
 	"aisched/internal/idle"
 	"aisched/internal/loops"
 	"aisched/internal/memo"
@@ -39,14 +43,22 @@ import (
 	"aisched/internal/sbudget"
 )
 
-// CacheCounters is a snapshot of the schedule cache's activity.
-type CacheCounters = memo.Counters
+// CacheCounters is a snapshot of a Scheduler's result reuse: the schedule
+// cache's counters (block and loop results) plus the trace items
+// ScheduleBatch served from a duplicate in the same batch.
+type CacheCounters struct {
+	memo.Counters
+	// TraceDeduped counts batch trace items answered with a clone of an
+	// identical item's result instead of being scheduled.
+	TraceDeduped uint64 `json:"trace_deduped"`
+}
 
 // SchedulerOptions configures a Scheduler. The zero value gives the
 // defaults: a 4096-entry 16-way-sharded cache and GOMAXPROCS batch workers.
 type SchedulerOptions struct {
-	// CacheCapacity is the total cached-result budget (0 = default 4096).
-	// Negative disables caching entirely: every call recomputes.
+	// CacheCapacity is the total cached block and loop result budget
+	// (0 = default 4096). Negative disables the cache: every block and loop
+	// call recomputes.
 	CacheCapacity int
 	// CacheMaxBytes bounds the schedule cache's approximate resident bytes
 	// (0 = default 64 MiB; negative = entry-count bound only).
@@ -54,9 +66,8 @@ type SchedulerOptions struct {
 	// StepCacheCapacity is the structural step cache's fragment budget
 	// (0 = default 4096; negative disables it). The step cache memoizes
 	// individual merge/chop iterations inside ScheduleTrace keyed by
-	// structural fingerprints, so repeated block shapes replay in O(block)
-	// even across traces the whole-trace cache has never seen. Results are
-	// bit-identical either way.
+	// structural fingerprints, so repeated block shapes — and whole repeated
+	// traces — replay in O(block). Results are bit-identical either way.
 	StepCacheCapacity int
 	// StepCacheMaxBytes bounds the step cache's approximate resident bytes
 	// (0 = default 64 MiB; negative = fragment-count bound only).
@@ -88,6 +99,7 @@ type SchedulerOptions struct {
 type Scheduler struct {
 	cache     *memo.Cache     // nil when caching is disabled
 	stepCache *core.StepCache // nil when step caching is disabled
+	deduped   atomic.Uint64   // batch trace items served from a duplicate
 	workers   int
 	parallel  int
 	budget    Budget
@@ -117,13 +129,14 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	return s
 }
 
-// CacheCounters returns the cache activity counters (all zero when caching
-// is disabled).
+// CacheCounters returns the result-reuse counters (the memo fields are all
+// zero when caching is disabled).
 func (sc *Scheduler) CacheCounters() CacheCounters {
-	if sc.cache == nil {
-		return CacheCounters{}
+	cc := CacheCounters{TraceDeduped: sc.deduped.Load()}
+	if sc.cache != nil {
+		cc.Counters = sc.cache.Counters()
 	}
-	return sc.cache.Counters()
+	return cc
 }
 
 // StepCacheCounters returns the structural step cache's activity counters
@@ -132,7 +145,7 @@ func (sc *Scheduler) StepCacheCounters() CacheCounters {
 	if sc.stepCache == nil {
 		return CacheCounters{}
 	}
-	return sc.stepCache.Counters()
+	return CacheCounters{Counters: sc.stepCache.Counters()}
 }
 
 // SpecCounters is a snapshot of the speculative parallel trace scheduler's
@@ -212,8 +225,8 @@ func (sc *Scheduler) ScheduleBlockCtx(ctx context.Context, g *Graph, m *Machine)
 	return out, nil
 }
 
-// ScheduleTrace is the memoized equivalent of the package-level
-// ScheduleTrace.
+// ScheduleTrace is the package-level ScheduleTrace run with the Scheduler's
+// step cache, speculation setting and budget.
 func (sc *Scheduler) ScheduleTrace(g *Graph, m *Machine) (*TraceResult, error) {
 	return sc.ScheduleTraceCtx(context.Background(), g, m)
 }
@@ -223,34 +236,14 @@ func (sc *Scheduler) ScheduleTrace(g *Graph, m *Machine) (*TraceResult, error) {
 // fallback trace result tagged Degraded (never an error).
 func (sc *Scheduler) ScheduleTraceCtx(ctx context.Context, g *Graph, m *Machine) (*TraceResult, error) {
 	defer observeRequest(mReqTraceNS, time.Now())
-	bs := sc.newBudget(ctx)
-	if sc.cache == nil {
-		r, err := core.LookaheadOpts(g, m, core.Options{Budget: bs, StepCache: sc.stepCache, Parallel: sc.parallel})
-		if err == nil {
-			return r, nil
-		}
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackTrace(g, m, reason)
-		}
-		return nil, err
-	}
-	v, _, err := sc.cache.DoCtx(ctx, memo.KeyFor(g, m, memo.KindTrace), func() (any, error) {
-		r, err := core.LookaheadOpts(g, m, core.Options{Budget: bs, StepCache: sc.stepCache, Parallel: sc.parallel})
-		if err != nil {
-			return nil, err
-		}
-		r.S.G, r.S.M = nil, nil
+	r, err := core.LookaheadOpts(g, m, core.Options{Budget: sc.newBudget(ctx), StepCache: sc.stepCache, Parallel: sc.parallel})
+	if err == nil {
 		return r, nil
-	})
-	if err != nil {
-		if reason := sc.degradeReason(err); reason != "" {
-			return sc.fallbackTrace(g, m, reason)
-		}
-		return nil, err
 	}
-	out := v.(*TraceResult).Clone()
-	out.S.G, out.S.M = g, m
-	return out, nil
+	if reason := sc.degradeReason(err); reason != "" {
+		return sc.fallbackTrace(g, m, reason)
+	}
+	return nil, err
 }
 
 // ScheduleLoop is the memoized equivalent of the package-level ScheduleLoop.
@@ -381,10 +374,12 @@ func (sc *Scheduler) batchOne(ctx context.Context, it BatchItem, submitted time.
 }
 
 // ScheduleBatch schedules every item on a bounded worker pool and returns
-// the results in input order. Duplicate items (same fingerprint) are
-// computed once: concurrent duplicates coalesce on the cache's in-flight
-// table, later ones hit the memo. One item's failure never affects the
-// others; check each BatchResult.Err.
+// the results in input order. Duplicate trace items (the same instance by
+// graph.Fingerprint, e.g. a relabelled rebuild of one graph on an equivalent
+// machine) are scheduled once: each later duplicate gets a clone of the
+// first one's result, rebound to its own graph and machine. Duplicate block
+// and loop items coalesce on the schedule cache instead. One item's failure
+// never affects the others; check each BatchResult.Err.
 func (sc *Scheduler) ScheduleBatch(items []BatchItem) []BatchResult {
 	return sc.ScheduleBatchCtx(context.Background(), items)
 }
@@ -400,18 +395,112 @@ func (sc *Scheduler) ScheduleBatchCtx(ctx context.Context, items []BatchItem) []
 		return results
 	}
 	submitted := time.Now()
+	lead := traceLeaders(items)
+	if lead == nil {
+		sc.runPool(ctx, items, nil, results, submitted)
+		return results
+	}
+	var first, dups []int
+	for i, l := range lead {
+		if l == i {
+			first = append(first, i)
+		} else {
+			dups = append(dups, i)
+		}
+	}
+	sc.runPool(ctx, items, first, results, submitted)
+	// Only a full result is shared. A duplicate of a leader that failed —
+	// cancelled, panicked, or errored — or degraded under its budget
+	// schedules itself, so it never inherits an outcome private to the
+	// leader's run.
+	redo := dups[:0]
+	for _, i := range dups {
+		lr := results[lead[i]]
+		if lr.Err != nil || lr.Trace.S.Degraded != "" {
+			redo = append(redo, i)
+			continue
+		}
+		out := lr.Trace.Clone()
+		out.S.G, out.S.M = items[i].G, items[i].M
+		results[i] = BatchResult{Trace: out}
+		sc.deduped.Add(1)
+		mBatchDeduped.Inc()
+	}
+	sc.runPool(ctx, items, redo, results, submitted)
+	return results
+}
+
+// traceLeaders maps every item to the item whose result it takes: lead[i]
+// is the first trace item with the same instance key as trace item i (i
+// itself when none comes earlier), and i for every other item. The key is
+// graph.Fingerprint over the graph and the machine's scheduling parameters —
+// the schedule cache's SHA-256 key, with its collision contract — and only
+// trace items whose (node count, edge count) matches another trace item's
+// are fingerprinted. It returns nil when no two trace items share a key.
+func traceLeaders(items []BatchItem) []int {
+	type shape struct{ nodes, edges int }
+	isTrace := func(it BatchItem) bool { return it.Kind == BatchTrace && it.G != nil && it.M != nil }
+	shapes := make(map[shape]int, len(items))
+	traces := 0
+	for _, it := range items {
+		if isTrace(it) {
+			traces++
+			shapes[shape{it.G.Len(), it.G.NumEdges()}]++
+		}
+	}
+	if len(shapes) == traces {
+		return nil
+	}
+	var lead []int
+	firstOf := make(map[graph.Fingerprint]int)
+	for i, it := range items {
+		if !isTrace(it) || shapes[shape{it.G.Len(), it.G.NumEdges()}] < 2 {
+			continue
+		}
+		fp := it.G.Fingerprint(it.M.Units, it.M.Window)
+		l, ok := firstOf[fp]
+		if !ok {
+			firstOf[fp] = i
+			continue
+		}
+		if lead == nil {
+			lead = make([]int, len(items))
+			for k := range lead {
+				lead[k] = k
+			}
+		}
+		lead[i] = l
+	}
+	return lead
+}
+
+// runPool runs batchOne for items[i], for every i in idx (every item when
+// idx is nil), on a pool of at most sc.workers goroutines (GOMAXPROCS when
+// unset), writing results[i].
+func (sc *Scheduler) runPool(ctx context.Context, items []BatchItem, idx []int, results []BatchResult, submitted time.Time) {
+	n := len(items)
+	if idx != nil {
+		n = len(idx)
+	}
+	at := func(j int) int {
+		if idx == nil {
+			return j
+		}
+		return idx[j]
+	}
 	workers := sc.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(items) {
-		workers = len(items)
+	if workers > n {
+		workers = n
 	}
-	if workers == 1 {
-		for i := range items {
+	if workers <= 1 {
+		for j := 0; j < n; j++ {
+			i := at(j)
 			results[i] = sc.batchOne(ctx, items[i], submitted)
 		}
-		return results
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -420,18 +509,18 @@ func (sc *Scheduler) ScheduleBatchCtx(ctx context.Context, items []BatchItem) []
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
+				j := int(next.Add(1)) - 1
+				if j >= n {
 					return
 				}
 				// Indexed write: no ordering coordination needed, results
 				// land in input order by construction.
+				i := at(j)
 				results[i] = sc.batchOne(ctx, items[i], submitted)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // ProgramTrace is one scheduled trace of a compiled program.
@@ -454,8 +543,9 @@ type ProgramSchedule struct {
 // ScheduleProgram compiles nothing itself — it takes a compiled mini-C
 // program, builds its CFG, selects traces (Fisher's heuristic, heaviest
 // seed first), builds each trace's dependence graph, and schedules all
-// traces through ScheduleBatch. Hot blocks repeated across programs hit the
-// schedule cache.
+// traces through ScheduleBatch. Identical traces within the program are
+// scheduled once; block shapes repeated across programs replay from the
+// step cache.
 func (sc *Scheduler) ScheduleProgram(c *CompiledC, m *Machine) (*ProgramSchedule, error) {
 	return sc.ScheduleProgramCtx(context.Background(), c, m)
 }

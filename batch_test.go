@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"aisched/internal/faultinject"
 	"aisched/internal/workload"
 )
 
@@ -51,12 +53,11 @@ func sameSteady(t *testing.T, what string, a, b *LoopSteady) {
 	sameSchedule(t, what, a.S, b.S)
 }
 
-// TestSchedulerDifferentialBitIdentical is the tentpole's required
-// differential test: for every kind, the memoized Scheduler's results —
-// cold (computing miss), warm (cache hit), and from a relabelled rebuild of
-// the same graph — are bit-identical to the direct uncached package calls,
-// and every returned schedule is rebound to the caller's own graph and
-// machine pointers.
+// TestSchedulerDifferentialBitIdentical: for every kind, the Scheduler's
+// results — cold, warm (a cache hit for blocks and loops, a step-cache
+// replay for traces), and from a relabelled rebuild of the same graph — are
+// bit-identical to the direct uncached package calls, and every returned
+// schedule is rebound to the caller's own graph and machine pointers.
 func TestSchedulerDifferentialBitIdentical(t *testing.T) {
 	m := SingleUnit(4)
 	for seed := int64(0); seed < 25; seed++ {
@@ -123,16 +124,17 @@ func TestSchedulerDifferentialBitIdentical(t *testing.T) {
 			}
 		}
 
-		// The relabelled rebuild must have hit, not recomputed: 3 distinct
-		// computations (trace, block, loop), everything else cache traffic.
-		if got := sc.CacheCounters(); got.Misses != 3 {
-			t.Fatalf("seed %d: %d misses, want 3 (counters %+v)", seed, got.Misses, got)
+		// Exactly one block and one loop computation, each warm pass a hit;
+		// traces never touch the schedule cache.
+		if got := sc.CacheCounters(); got.BlockMisses != 1 || got.BlockHits != 1 ||
+			got.LoopMisses != 1 || got.LoopHits != 1 || got.Misses != 2 || got.Hits != 2 {
+			t.Fatalf("seed %d: counters %+v, want one block and one loop miss and hit each", seed, got)
 		}
 	}
 }
 
 // TestSchedulerResultsAreIndependentClones: mutating a returned schedule
-// must not corrupt the cache.
+// must not corrupt the schedule cache or the step cache.
 func TestSchedulerResultsAreIndependentClones(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g, err := workload.Trace(r, workload.DefaultTrace())
@@ -153,7 +155,20 @@ func TestSchedulerResultsAreIndependentClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(second.S.Start, want) {
-		t.Fatal("mutating a returned result leaked into the cache")
+		t.Fatal("mutating a returned trace result leaked into the step cache")
+	}
+	b1, err := sc.ScheduleBlock(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append([]int(nil), b1.Start...)
+	b1.Start[0] = -99
+	b2, err := sc.ScheduleBlock(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b2.Start, want) {
+		t.Fatal("mutating a returned block schedule leaked into the cache")
 	}
 }
 
@@ -188,11 +203,11 @@ func TestSchedulerErrorNotCached(t *testing.T) {
 	m := SingleUnit(4)
 	sc := NewScheduler(SchedulerOptions{})
 	for i := 0; i < 2; i++ {
-		if _, err := sc.ScheduleTrace(g, m); err == nil {
+		if _, err := sc.ScheduleBlock(g, m); err == nil {
 			t.Fatal("cyclic graph scheduled without error")
 		}
 	}
-	if got := sc.CacheCounters(); got.Misses != 2 || got.Hits != 0 {
+	if got := sc.CacheCounters(); got.BlockMisses != 2 || got.BlockHits != 0 || got.Misses != 2 || got.Hits != 0 {
 		t.Fatalf("errors must not be cached: %+v", got)
 	}
 }
@@ -254,9 +269,11 @@ func TestScheduleBatchMatchesSerial(t *testing.T) {
 }
 
 // TestScheduleBatchConcurrencyAndCoalescing hammers one Scheduler with a
-// duplicate-heavy batch (run under -race by make check) and checks the
-// cache bookkeeping: every request is a hit, miss, or coalesce, and misses
-// equal the number of distinct instances.
+// duplicate-heavy batch of trace and block items (run under -race by make
+// check) and checks the bookkeeping: the traces are scheduled exactly once
+// per distinct instance and every other copy is deduplicated; every block
+// request is a hit, miss, or coalesce, and block misses equal the number of
+// distinct instances.
 func TestScheduleBatchConcurrencyAndCoalescing(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	m := SingleUnit(4)
@@ -274,6 +291,9 @@ func TestScheduleBatchConcurrencyAndCoalescing(t *testing.T) {
 		for _, g := range graphs {
 			items = append(items, BatchItem{G: relabel(g, r), M: m, Kind: BatchTrace})
 		}
+		for _, g := range graphs {
+			items = append(items, BatchItem{G: relabel(g, r), M: m, Kind: BatchBlock})
+		}
 	}
 	sc := NewScheduler(SchedulerOptions{})
 	res := sc.ScheduleBatch(items)
@@ -282,20 +302,34 @@ func TestScheduleBatchConcurrencyAndCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantBlock, err := ScheduleBlock(g, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for c := 0; c < copies; c++ {
-			br := res[c*distinct+i]
+			br := res[2*c*distinct+i]
 			if br.Err != nil {
 				t.Fatal(br.Err)
 			}
 			sameTraceResult(t, fmt.Sprintf("copy %d of graph %d", c, i), want, br.Trace)
+			bb := res[(2*c+1)*distinct+i]
+			if bb.Err != nil {
+				t.Fatal(bb.Err)
+			}
+			sameSchedule(t, fmt.Sprintf("block copy %d of graph %d", c, i), wantBlock, bb.Block)
 		}
 	}
 	got := sc.CacheCounters()
-	if got.Misses != distinct {
-		t.Fatalf("misses = %d, want %d (%+v)", got.Misses, distinct, got)
+	if got.TraceDeduped != distinct*(copies-1) {
+		t.Fatalf("deduplicated %d trace items, want %d: %d computations for %d distinct traces (%+v)",
+			got.TraceDeduped, distinct*(copies-1), distinct*copies-int(got.TraceDeduped), distinct, got)
 	}
-	if got.Hits+got.Misses+got.Coalesced != uint64(len(items)) {
-		t.Fatalf("requests unaccounted for: %+v over %d items", got, len(items))
+	if got.BlockMisses != distinct || got.Misses != distinct {
+		t.Fatalf("block misses = %d, want %d (%+v)", got.BlockMisses, distinct, got)
+	}
+	if got.BlockHits+got.BlockMisses+got.BlockCoalesced != distinct*copies ||
+		got.Hits+got.Misses+got.Coalesced != distinct*copies {
+		t.Fatalf("block requests unaccounted for: %+v over %d block items", got, distinct*copies)
 	}
 }
 
@@ -360,5 +394,107 @@ func TestScheduleBatchEmptyAndErrors(t *testing.T) {
 	res = ScheduleBatch([]BatchItem{{G: g, M: SingleUnit(4), Kind: BatchKind(99)}})
 	if res[0].Err == nil {
 		t.Fatal("unknown kind must error")
+	}
+}
+
+// TestScheduleBatchDedupTraces: duplicate trace items in one batch — the
+// same graph, relabelled rebuilds, an equivalent renamed machine — are
+// scheduled once, and every copy is bit-identical to the package-level
+// call, rebound to its own graph and machine, and independently mutable. A
+// degraded leader is never shared: its duplicates schedule themselves.
+func TestScheduleBatchDedupTraces(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	m := SingleUnit(4)
+	renamed := &Machine{Name: "renamed", Units: m.Units, Window: m.Window}
+	other := SingleUnit(3) // another window: a different instance
+	var items []BatchItem
+	for i := 0; i < 3; i++ {
+		g, err := workload.Trace(r, workload.DefaultTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items,
+			BatchItem{G: g, M: m, Kind: BatchTrace},
+			BatchItem{G: g, M: m, Kind: BatchTrace},
+			BatchItem{G: relabel(g, r), M: renamed, Kind: BatchTrace},
+			BatchItem{G: relabel(g, r), M: other, Kind: BatchTrace},
+			BatchItem{G: g, M: m, Kind: BatchBlock},
+		)
+	}
+	sc := NewScheduler(SchedulerOptions{})
+	res := sc.ScheduleBatch(items)
+	check := func(what string) {
+		t.Helper()
+		for i, it := range items {
+			if it.Kind != BatchTrace {
+				continue
+			}
+			want, err := ScheduleTrace(it.G, it.M)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res[i].Trace
+			if res[i].Err != nil || got == nil {
+				t.Fatalf("%s: item %d: %v", what, i, res[i].Err)
+			}
+			sameTraceResult(t, fmt.Sprintf("%s: item %d", what, i), want, got)
+			if got.S.G != it.G || got.S.M != it.M {
+				t.Fatalf("%s: item %d not rebound to its own graph and machine", what, i)
+			}
+		}
+	}
+	check("fresh")
+	// Two duplicates per graph: the second copy of g and its rebuild on the
+	// renamed machine. The other-window rebuild is its own instance.
+	if got := sc.CacheCounters().TraceDeduped; got != 6 {
+		t.Fatalf("TraceDeduped = %d, want 6", got)
+	}
+	// Scribble over every leader's result: no copy may share its storage.
+	for i := 0; i < len(items); i += 5 {
+		tr := res[i].Trace
+		for k := range tr.S.Start {
+			tr.S.Start[k] = -1
+		}
+		tr.Order[0] = NodeID(-1)
+		for _, o := range tr.BlockOrders {
+			o[0] = NodeID(-1)
+		}
+		fresh, err := ScheduleTrace(items[i].G, items[i].M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i].Trace = fresh
+	}
+	check("after mutating the leaders")
+
+	// Degraded leader: exhaust the budget at the first checkpoint only, so
+	// the leader (the one worker picks it up first) degrades and its
+	// duplicates, which schedule themselves, come back in full.
+	defer faultinject.Reset()
+	var fired atomic.Bool
+	faultinject.BudgetExhaust = func() bool { return fired.CompareAndSwap(false, true) }
+	g := items[0].G
+	dups := []BatchItem{{G: g, M: m}, {G: g, M: m}, {G: relabel(g, r), M: m}}
+	sc = NewScheduler(SchedulerOptions{Workers: 1})
+	res = sc.ScheduleBatch(dups)
+	faultinject.Reset()
+	if res[0].Err != nil || res[0].Degraded() == "" {
+		t.Fatalf("leader: err=%v degraded=%q, want a degraded result", res[0].Err, res[0].Degraded())
+	}
+	want, err := ScheduleTrace(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(dups); i++ {
+		if res[i].Err != nil || res[i].Degraded() != "" {
+			t.Fatalf("duplicate %d: err=%v degraded=%q, want its own full result", i, res[i].Err, res[i].Degraded())
+		}
+		sameTraceResult(t, fmt.Sprintf("duplicate %d of a degraded leader", i), want, res[i].Trace)
+		if res[i].Trace.S.G != dups[i].G {
+			t.Fatalf("duplicate %d not rebound", i)
+		}
+	}
+	if got := sc.CacheCounters().TraceDeduped; got != 0 {
+		t.Fatalf("TraceDeduped = %d after a degraded leader, want 0", got)
 	}
 }

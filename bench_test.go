@@ -544,9 +544,10 @@ func batchBenchItems(tb testing.TB, n, distinct int) []BatchItem {
 }
 
 // BenchmarkScheduleBatch: amortized cost of the throughput layer on a 64-item
-// trace batch at 0% and ~90% duplicate rates (fresh Scheduler per op —
-// cold-cache honest), vs the serial uncached loop over the same ~90%-dup
-// items. Snapshotted in BENCH_PR5.json as BatchDup0/BatchDup90/SerialDup90.
+// trace batch at 0% and ~90% duplicate rates (fresh Scheduler per op, so
+// only in-batch deduplication and the step cache within the op help), vs
+// the serial package-level loop over the same ~90%-dup items. benchsnap
+// snapshots these as BatchDup0/BatchDup90/SerialDup90.
 func BenchmarkScheduleBatch(b *testing.B) {
 	const n = 64
 	for _, v := range []struct {

@@ -496,9 +496,10 @@ func runProgram(src string, m *machine.Machine, rec *aisched.TraceRecorder, budg
 		t.Add(i, fmt.Sprint(tr.Blocks), tr.G.Len(), tr.Res.Makespan(), sim.Completion, reason)
 	}
 	fmt.Println(t)
-	cc := sc.CacheCounters()
-	fmt.Printf("schedule cache: %d hits, %d misses, %d coalesced, %d evictions\n",
-		cc.Hits, cc.Misses, cc.Coalesced, cc.Evictions)
+	// Traces are not memoized across calls: repeats within the program are
+	// deduplicated by the batch, repeated blocks replay from the step cache.
+	fmt.Printf("batch: %d of %d traces served from a duplicate in the batch\n",
+		sc.CacheCounters().TraceDeduped, len(ps.Traces))
 	if scc := sc.StepCacheCounters(); scc.Hits+scc.Misses > 0 {
 		fmt.Printf("step cache: %d hits, %d misses, %d evictions\n",
 			scc.Hits, scc.Misses, scc.Evictions)

@@ -29,8 +29,8 @@
 // RS6000(4) with both caches off, as BenchmarkScheduleProgram; and
 // BuildTraceGraph: the dependence graphs of that corpus's traces).
 //
-//	go run ./cmd/benchsnap -o BENCH_PR15.json
-//	go run ./cmd/benchsnap -compare BENCH_PR15.json
+//	go run ./cmd/benchsnap -o BENCH_PR17.json
+//	go run ./cmd/benchsnap -compare BENCH_PR17.json
 //
 // -cpuprofile and -memprofile write pprof profiles covering the benchmark
 // measurements, for digging into a regression the gate reports:
@@ -87,7 +87,7 @@ type snapshot struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR15.json", "output file (ignored with -compare)")
+	out := flag.String("o", "BENCH_PR17.json", "output file (ignored with -compare)")
 	compare := flag.String("compare", "", "compare against this snapshot instead of writing one")
 	tol := flag.Float64("tol", 2.0, "regression budget in percent for -compare")
 	noisefloor := flag.Float64("noisefloor", 25.0, "minimum ns/op tolerance in percent (wall-clock noise on shared hardware)")
@@ -149,12 +149,13 @@ func main() {
 
 	// Batch throughput workloads: batchN trace requests where every duplicate
 	// is an independently rebuilt copy (fresh labels, shuffled edge insertion
-	// order), so the schedule cache must match by content fingerprint.
-	// BatchDup0 is all-distinct (worst case for the cache); BatchDup90 keeps
-	// ~10% distinct graphs; SerialDup90 pushes the same ~90%-duplicate items
-	// through the uncached package-level path, so SerialDup90/BatchDup90 is
-	// the amortized speedup the throughput layer buys on duplicate-heavy
-	// streams. A fresh Scheduler per op keeps every measurement cold-cache.
+	// order), so the batch must match duplicates by content fingerprint.
+	// BatchDup0 is all-distinct (worst case for deduplication); BatchDup90
+	// keeps ~10% distinct graphs; SerialDup90 pushes the same ~90%-duplicate
+	// items through the package-level path one call at a time, so
+	// SerialDup90/BatchDup90 is the amortized speedup the throughput layer
+	// buys on duplicate-heavy streams. A fresh Scheduler per op keeps every
+	// measurement cold-cache.
 	batch0 := batchItems(batchN, batchN)
 	batch90 := batchItems(batchN, 7)
 
@@ -303,10 +304,9 @@ func main() {
 		// The repetitive batch pair shares one Scheduler across ops (one
 		// warm-up call before the timer): a long-running scheduler keeps its
 		// step cache across requests, so this is the amortized regime the
-		// cache targets. The whole-trace memo is disabled on both sides so
-		// every op really walks the per-block loop.
+		// cache targets: every op walks the per-block loop and replays it.
 		{"ScheduleTraceRepetitive", func(b *testing.B) {
-			sc := aisched.NewScheduler(aisched.SchedulerOptions{CacheCapacity: -1})
+			sc := aisched.NewScheduler(aisched.SchedulerOptions{})
 			if _, err := sc.ScheduleTrace(repG, m); err != nil {
 				b.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func main() {
 			}
 		}},
 		{"ScheduleTraceRepetitiveOff", func(b *testing.B) {
-			sc := aisched.NewScheduler(aisched.SchedulerOptions{CacheCapacity: -1, StepCacheCapacity: -1})
+			sc := aisched.NewScheduler(aisched.SchedulerOptions{StepCacheCapacity: -1})
 			if _, err := sc.ScheduleTrace(repG, m); err != nil {
 				b.Fatal(err)
 			}

@@ -172,8 +172,8 @@ type Result struct {
 func (r *Result) Makespan() int { return r.S.Makespan() }
 
 // Clone returns a deep copy of r. The schedule's graph and machine pointers
-// are shared, not copied; the memo layer overwrites them on its clones to
-// detach cached values from caller-owned graphs.
+// are shared, not copied; the batch layer rebinds them on the clones it
+// hands to duplicate requests.
 func (r *Result) Clone() *Result {
 	c := &Result{
 		Order:       append([]graph.NodeID(nil), r.Order...),
@@ -184,19 +184,6 @@ func (r *Result) Clone() *Result {
 		c.BlockOrders[b] = append([]graph.NodeID(nil), o...)
 	}
 	return c
-}
-
-// ApproxBytes reports the result's approximate resident footprint for the
-// memo layer's byte-bounded LRU (memo.Sizer).
-func (r *Result) ApproxBytes() int {
-	n := 96 + 8*len(r.Order) + 48*len(r.BlockOrders)
-	for _, o := range r.BlockOrders {
-		n += 8 * len(o)
-	}
-	if r.S != nil {
-		n += r.S.ApproxBytes()
-	}
-	return n
 }
 
 // StaticOrder returns the emitted code: the per-block static orders

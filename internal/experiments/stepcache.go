@@ -15,10 +15,10 @@ import (
 // scheduler serves 20 requests of 16-block traces, of which `1-dup` are
 // unique and the rest repeat an earlier trace — so the cache warms on first
 // occurrences and replays the duplicates. The batch side re-schedules whole
-// traces through one Scheduler (whole-trace memo disabled so the per-block
-// loop always runs); the stream side pushes the same request sequence as one
-// unending block stream at k=1. Both report amortized ns per block with the
-// cache on vs off and the on-side hit rate.
+// traces through one Scheduler, one ScheduleTrace call per request, so the
+// per-block loop always runs; the stream side pushes the same request
+// sequence as one unending block stream at k=1. Both report amortized ns per
+// block with the cache on vs off and the on-side hit rate.
 //
 // Blocks are serial latency chains: the stalls make every step chop, so the
 // carried suffix stays bounded and recurs — the regime where merge inputs
@@ -76,7 +76,7 @@ func C1(seed int64, instances int) (*Result, error) {
 			best := int64(1) << 62
 			var c aisched.CacheCounters
 			for rep := 0; rep < 3; rep++ {
-				sc := aisched.NewScheduler(aisched.SchedulerOptions{CacheCapacity: -1, StepCacheCapacity: stepCap})
+				sc := aisched.NewScheduler(aisched.SchedulerOptions{StepCacheCapacity: stepCap})
 				t0 := time.Now()
 				for _, u := range order {
 					if _, err := sc.ScheduleTrace(uniques[u], m); err != nil {

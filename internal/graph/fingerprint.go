@@ -1,10 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -39,17 +39,28 @@ import (
 // positions. SHA-256 makes accidental collisions (two different instances,
 // same fingerprint) cryptographically negligible, which is what lets the
 // memo layer return cached schedules without re-verifying the full key.
+//
+// The serialization is a flat sequence of little-endian int64 words, built
+// into pooled scratch and hashed with one sha256.Sum256 call; the topo sort
+// runs into the same scratch, so a warm call allocates nothing.
 type Fingerprint [32]byte
 
-// fpScratch pools the per-call buffers of Fingerprint so the hot cache-hit
-// path (hash + lookup) stays allocation-light.
+// fpScratch pools the per-call buffers of Fingerprint so the hot cache path
+// (hash + lookup) allocates nothing once warm.
 var fpScratch = sync.Pool{New: func() any { return new(fpState) }}
 
 type fpState struct {
-	h   hash.Hash
-	buf [8]byte
-	pos []int
-	es  []Edge
+	buf      []byte
+	indeg    []int
+	pos      []int
+	frontier []NodeID
+	order    []NodeID
+	es       []Edge
+}
+
+// put appends v to the serialization as one little-endian int64 word.
+func (st *fpState) put(v int) {
+	st.buf = binary.LittleEndian.AppendUint64(st.buf, uint64(int64(v)))
 }
 
 // Fingerprint computes the content address of (g, units, window). Pass the
@@ -57,72 +68,64 @@ type fpState struct {
 // Units and Window fields); the machine name is deliberately excluded.
 func (g *Graph) Fingerprint(units []int, window int) Fingerprint {
 	st := fpScratch.Get().(*fpState)
-	if st.h == nil {
-		st.h = sha256.New()
-	} else {
-		st.h.Reset()
-	}
-	put := func(v int) {
-		binary.LittleEndian.PutUint64(st.buf[:], uint64(int64(v)))
-		st.h.Write(st.buf[:])
-	}
-
+	st.buf = st.buf[:0]
 	n := g.Len()
-	put(n)
-	put(g.NumEdges())
-	put(window)
-	put(len(units))
+	st.put(n)
+	st.put(g.NumEdges())
+	st.put(window)
+	st.put(len(units))
 	for _, u := range units {
-		put(u)
+		st.put(u)
 	}
 
 	// Topo-canonical node order: deterministic for a given graph, shared by
 	// every rebuild of the same content. Cyclic loop-independent subgraphs
 	// (rejected by every scheduler anyway) fall back to ID order so the
-	// fingerprint is total.
-	order, err := g.TopoOrder()
-	if err != nil {
+	// fingerprint is total. Every node enters the frontier and the order at
+	// most once, so scratch grown to n never reallocates inside topoInto.
+	st.indeg = slices.Grow(st.indeg[:0], n)[:n]
+	st.pos = slices.Grow(st.pos[:0], n)[:n]
+	st.frontier = slices.Grow(st.frontier[:0], n)
+	st.order = slices.Grow(st.order[:0], n)
+	order, ok := g.topoInto(st.indeg, st.frontier, st.order)
+	if !ok {
 		order = order[:0]
 		for id := 0; id < n; id++ {
 			order = append(order, NodeID(id))
 		}
 	}
-	if cap(st.pos) < n {
-		st.pos = make([]int, n)
-	}
-	pos := st.pos[:n]
+	pos := st.pos
 	for i, id := range order {
 		pos[id] = i
 	}
 
 	for _, id := range order {
-		nd := g.nodes[id]
+		nd := &g.nodes[id]
 		// The original program position pins program order (the tie-break)
 		// as part of the instance identity; labels are skipped.
-		put(int(id))
-		put(nd.Exec)
-		put(nd.Class)
-		put(nd.Block)
+		st.put(int(id))
+		st.put(nd.Exec)
+		st.put(nd.Class)
+		st.put(nd.Block)
 		es := append(st.es[:0], g.out[id]...)
-		st.es = es[:0]
+		st.es = es
 		// AddEdge keeps at most one edge per (dst, distance), so this sort
 		// key is unique and insertion order cannot leak into the hash.
-		sort.Slice(es, func(a, b int) bool {
-			if es[a].Dst != es[b].Dst {
-				return es[a].Dst < es[b].Dst
+		slices.SortFunc(es, func(a, b Edge) int {
+			if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+				return c
 			}
-			return es[a].Distance < es[b].Distance
+			return cmp.Compare(a.Distance, b.Distance)
 		})
-		put(len(es))
+		st.put(len(es))
 		for _, e := range es {
-			put(pos[e.Dst])
-			put(e.Latency)
-			put(e.Distance)
+			st.put(pos[e.Dst])
+			st.put(e.Latency)
+			st.put(e.Distance)
 		}
 	}
 
-	var fp Fingerprint
-	st.h.Sum(fp[:0])
+	fp := Fingerprint(sha256.Sum256(st.buf))
 	fpScratch.Put(st)
 	return fp
 }

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"aisched/internal/testutil"
 )
 
 // randSpec is a reproducible random graph description the tests can rebuild
@@ -216,5 +221,121 @@ func TestFingerprintCyclicFallback(t *testing.T) {
 	h.MustEdge(ha, hb, 0, 0)
 	if f1 == h.Fingerprint(fpUnits, fpWindow) {
 		t.Fatal("cyclic and acyclic instances collide")
+	}
+}
+
+// fingerprintStreamed is the original streaming serialization of
+// Fingerprint — one hash.Write per word, a fresh TopoOrder, sort.Slice per
+// node — kept as the oracle that pins the pooled single-Sum256 version to
+// the same digests.
+func fingerprintStreamed(g *Graph, units []int, window int) Fingerprint {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
+		h.Write(buf[:])
+	}
+	n := g.Len()
+	put(n)
+	put(g.NumEdges())
+	put(window)
+	put(len(units))
+	for _, u := range units {
+		put(u)
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		order = order[:0]
+		for id := 0; id < n; id++ {
+			order = append(order, NodeID(id))
+		}
+	}
+	pos := make([]int, n)
+	for i, id := range order {
+		pos[id] = i
+	}
+	for _, id := range order {
+		nd := g.nodes[id]
+		put(int(id))
+		put(nd.Exec)
+		put(nd.Class)
+		put(nd.Block)
+		es := append([]Edge(nil), g.out[id]...)
+		sort.Slice(es, func(a, b int) bool {
+			if es[a].Dst != es[b].Dst {
+				return es[a].Dst < es[b].Dst
+			}
+			return es[a].Distance < es[b].Distance
+		})
+		put(len(es))
+		for _, e := range es {
+			put(pos[e.Dst])
+			put(e.Latency)
+			put(e.Distance)
+		}
+	}
+	var fp Fingerprint
+	h.Sum(fp[:0])
+	return fp
+}
+
+// randomFPGraph draws a graph with edges in both ID directions: forward
+// distance-0 edges, loop-carried edges, and (when cyclic) backward
+// distance-0 edges that force the ID-order fallback.
+func randomFPGraph(r *rand.Rand, cyclic bool) *Graph {
+	n := r.Intn(40)
+	g := New(n)
+	for v := 0; v < n; v++ {
+		g.AddNode("v", 1+r.Intn(3), r.Intn(3), r.Intn(4))
+	}
+	for k := 0; n > 1 && k < 2*n; k++ {
+		a, b := NodeID(r.Intn(n)), NodeID(r.Intn(n))
+		dist := 0
+		switch {
+		case r.Intn(4) == 0:
+			dist = 1 + r.Intn(2)
+		case a == b:
+			continue
+		case a > b && !cyclic:
+			a, b = b, a
+		}
+		g.MustEdge(a, b, r.Intn(5), dist)
+	}
+	return g
+}
+
+// TestFingerprintMatchesStreamed: the pooled serialization hashes exactly
+// the bytes the streamed one did, over acyclic and cyclic random graphs
+// with loop-carried edges and varying machine parameters.
+func TestFingerprintMatchesStreamed(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	cyclicSeen := 0
+	for i := 0; i < 3000; i++ {
+		g := randomFPGraph(r, i%3 == 0)
+		if !g.IsAcyclic() {
+			cyclicSeen++
+		}
+		units := make([]int, 1+r.Intn(3))
+		for u := range units {
+			units[u] = 1 + r.Intn(3)
+		}
+		window := r.Intn(9)
+		if got, want := g.Fingerprint(units, window), fingerprintStreamed(g, units, window); got != want {
+			t.Fatalf("graph %d: fingerprint %x, streamed %x\n%v", i, got[:8], want[:8], g)
+		}
+	}
+	if cyclicSeen == 0 {
+		t.Fatal("no cyclic graph drawn: the ID-order fallback went untested")
+	}
+}
+
+// TestFingerprintZeroAlloc: a warm Fingerprint call allocates nothing.
+func TestFingerprintZeroAlloc(t *testing.T) {
+	testutil.SkipIfAllocSensitive(t)
+	g := randomFPGraph(rand.New(rand.NewSource(2)), false)
+	units := []int{2, 1}
+	g.Fingerprint(units, 4)
+	if a := testing.AllocsPerRun(100, func() { g.Fingerprint(units, 4) }); a != 0 {
+		t.Fatalf("Fingerprint allocates %.1f times per call, want 0", a)
 	}
 }

@@ -273,7 +273,20 @@ func (g *Graph) Induced(keep map[NodeID]bool) (*Graph, []NodeID) {
 // node ID so the order is deterministic.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
 	n := g.Len()
-	indeg := make([]int, n)
+	order, ok := g.topoInto(make([]int, n), make([]NodeID, 0, n), make([]NodeID, 0, n))
+	if !ok {
+		return nil, fmt.Errorf("graph: loop-independent subgraph has a cycle (%d of %d nodes ordered)", len(order), n)
+	}
+	return order, nil
+}
+
+// topoInto is TopoOrder over caller-owned scratch: indeg needs length
+// g.Len(), frontier and order are appended to from length 0. It returns the
+// order and whether it covers every node (false: the loop-independent
+// subgraph is cyclic and the order is a strict prefix).
+func (g *Graph) topoInto(indeg []int, frontier, order []NodeID) ([]NodeID, bool) {
+	n := g.Len()
+	clear(indeg)
 	for id := 0; id < n; id++ {
 		for _, e := range g.out[id] {
 			if e.Distance == 0 {
@@ -285,13 +298,11 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	// is held in ascending order past head, so the head is always the
 	// smallest ready node (same order a per-iteration sort would produce,
 	// without its per-iteration closure allocations).
-	frontier := make([]NodeID, 0, n)
 	for id := 0; id < n; id++ {
 		if indeg[id] == 0 {
 			frontier = append(frontier, NodeID(id))
 		}
 	}
-	order := make([]NodeID, 0, n)
 	head := 0
 	for head < len(frontier) {
 		id := frontier[head]
@@ -311,10 +322,7 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("graph: loop-independent subgraph has a cycle (%d of %d nodes ordered)", len(order), n)
-	}
-	return order, nil
+	return order, len(order) == n
 }
 
 // IsAcyclic reports whether the loop-independent subgraph is a DAG.

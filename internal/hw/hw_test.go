@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,38 +224,71 @@ func TestSimulateTraceMatchesGreedyForLargeWindow(t *testing.T) {
 	}
 }
 
-func TestPropertyWindowMonotone(t *testing.T) {
-	// Larger windows never hurt: completion is nonincreasing in W.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 4 + r.Intn(16)
-		g := graph.New(n)
-		for i := 0; i < n; i++ {
-			g.AddNode("n", 1, 0, i*3/n)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Float64() < 0.3 {
-					g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(3), 0)
-				}
-			}
-		}
-		order := sched.SourceOrder(g)
-		prev := -1
-		for _, w := range []int{1, 2, 4, 8, 32} {
-			res, err := SimulateTrace(g, machine.SingleUnit(w), order)
-			if err != nil {
-				return false
-			}
-			if prev >= 0 && res.Completion > prev {
-				return false
-			}
-			prev = res.Completion
-		}
-		return true
+// windowCase draws the window-monotonicity instance for seed: 4–19 unit
+// nodes over three blocks with forward edges of latency 0..latencies-1,
+// issued in source order.
+func windowCase(seed int64, latencies int) (*graph.Graph, []graph.NodeID) {
+	r := rand.New(rand.NewSource(seed))
+	n := 4 + r.Intn(16)
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode("n", 1, 0, i*3/n)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() < 0.3 {
+				g.MustEdge(graph.NodeID(i), graph.NodeID(j), r.Intn(latencies), 0)
+			}
+		}
+	}
+	return g, sched.SourceOrder(g)
+}
+
+// monotoneWindows are the window sizes the monotonicity tests sweep.
+var monotoneWindows = []int{1, 2, 4, 8, 32}
+
+// windowCompletions simulates order on a single unit at every window size
+// in monotoneWindows.
+func windowCompletions(t *testing.T, g *graph.Graph, order []graph.NodeID) []int {
+	t.Helper()
+	var out []int
+	for _, w := range monotoneWindows {
+		res, err := SimulateTrace(g, machine.SingleUnit(w), order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res.Completion)
+	}
+	return out
+}
+
+// TestPropertyWindowMonotone: with 0/1 latencies, a larger window never
+// hurts — completion is nonincreasing in W — over a fixed seed set.
+func TestPropertyWindowMonotone(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		g, order := windowCase(seed, 2)
+		c := windowCompletions(t, g, order)
+		for k := 1; k < len(c); k++ {
+			if c[k] > c[k-1] {
+				t.Fatalf("seed %d: completion %d at W=%d but %d at W=%d",
+					seed, c[k], monotoneWindows[k], c[k-1], monotoneWindows[k-1])
+			}
+		}
+	}
+}
+
+// TestWindowAnomalyAtLatency2 pins that the property above does not extend
+// to latency 2. The window simulator issues greedily, and a greedy list
+// schedule is subject to Graham's anomalies: a wider window can let a
+// ready instruction take the unit ahead of one whose latency-2 successor
+// chain is critical, finishing later. Seed 23 of the same generator with
+// latencies 0..2 is such a case — 13 cycles at W=2, 14 at W=4 — and it is a
+// property of the model, not a simulator fault.
+func TestWindowAnomalyAtLatency2(t *testing.T) {
+	g, order := windowCase(23, 3)
+	want := []int{17, 13, 14, 14, 14}
+	if c := windowCompletions(t, g, order); !slices.Equal(c, want) {
+		t.Fatalf("seed 23 completions %v over W=%v, want %v", c, monotoneWindows, want)
 	}
 }
 

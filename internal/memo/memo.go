@@ -76,14 +76,14 @@ var StepMetrics = &MetricSet{
 }
 
 // Kind discriminates the result type cached under a fingerprint, so a block
-// schedule and a trace result for the same graph never alias.
+// schedule and a loop steady state for the same graph never alias. Whole
+// trace results are not memoized: a repeated trace replays block by block
+// from the step cache (KindStep).
 type Kind uint8
 
 const (
 	// KindBlock caches single-block schedules (rank + Delay_Idle_Slots).
 	KindBlock Kind = iota
-	// KindTrace caches Algorithm Lookahead trace results.
-	KindTrace
 	// KindLoop caches §5 steady-state loop schedules.
 	KindLoop
 	// KindStep caches one core.Step merge/delay/chop iteration as a
@@ -91,6 +91,8 @@ const (
 	// non-cryptographic) rather than Fingerprint; the key's hash fills the
 	// fingerprint's first 16 bytes and the rest stay zero.
 	KindStep
+
+	numKinds
 )
 
 // Key is the cache key: the instance fingerprint plus the result kind.
@@ -153,12 +155,22 @@ const entryOverhead = 176
 const minShards = 16
 
 // Counters is a point-in-time snapshot of the cache's activity, summed over
-// shards. Hits + Misses + Coalesced equals the number of Do calls.
+// shards. Hits + Misses + Coalesced equals the number of Do calls plus Get
+// calls.
 type Counters struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Coalesced uint64 `json:"coalesced"`
+	// The per-kind split of Hits, Misses and Coalesced for the two kinds
+	// the schedule cache holds: the Block* fields count KindBlock lookups,
+	// the Loop* fields KindLoop lookups.
+	BlockHits      uint64 `json:"block_hits"`
+	BlockMisses    uint64 `json:"block_misses"`
+	BlockCoalesced uint64 `json:"block_coalesced"`
+	LoopHits       uint64 `json:"loop_hits"`
+	LoopMisses     uint64 `json:"loop_misses"`
+	LoopCoalesced  uint64 `json:"loop_coalesced"`
 	// Bytes is the approximate resident footprint of cached values (a
 	// point-in-time gauge, not a counter).
 	Bytes int64 `json:"bytes"`
@@ -202,8 +214,12 @@ type shard struct {
 	lru      entry // sentinel: lru.next is MRU, lru.prev is LRU
 	inflight map[Key]*flight
 
-	hits, misses, evictions, coalesced, recomputed uint64
+	byKind                [numKinds]lookups
+	evictions, recomputed uint64
 }
+
+// lookups counts one kind's lookups by outcome.
+type lookups struct{ hits, misses, coalesced uint64 }
 
 // Cache is a sharded bounded LRU with singleflight deduplication. Safe for
 // concurrent use. The zero value is not useful; use New.
@@ -299,15 +315,15 @@ func (c *Cache) DoCtx(ctx context.Context, k Key, compute func() (any, error)) (
 	if e, ok := s.entries[k]; ok {
 		e.unlink()
 		e.pushMRU(&s.lru)
-		s.hits++
-		v := e.val // store refreshes e.val under s.mu
+		s.byKind[k.Kind].hits++
+		v := e.val // insert refreshes e.val under s.mu
 		s.mu.Unlock()
 		c.met.hits.Inc()
 		c.emit(obs.KindCacheHit)
 		return v, true, nil
 	}
 	if f, ok := s.inflight[k]; ok {
-		s.coalesced++
+		s.byKind[k.Kind].coalesced++
 		s.mu.Unlock()
 		c.met.coalesced.Inc()
 		c.emit(obs.KindCacheCoalesce)
@@ -340,21 +356,31 @@ func (c *Cache) DoCtx(ctx context.Context, k Key, compute func() (any, error)) (
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[k] = f
-	s.misses++
+	s.byKind[k.Kind].misses++
 	s.mu.Unlock()
 	c.met.misses.Inc()
 	c.emit(obs.KindCacheMiss)
 
 	f.val, f.err = runCompute(compute)
 
+	// The entry goes in under the same lock that retires the flight, so a
+	// concurrent lookup for k sees one or the other, never neither.
+	nb := 0
+	if f.err == nil {
+		nb = valBytes(f.val)
+	}
 	s.mu.Lock()
 	delete(s.inflight, k)
+	var delta, evicted int
+	if f.err == nil {
+		delta, evicted = s.insert(k, f.val, nb)
+	}
 	s.mu.Unlock()
 	close(f.done)
 	if f.err != nil {
 		return nil, false, f.err
 	}
-	c.store(s, k, f.val)
+	c.stored(delta, evicted)
 	return f.val, false, nil
 }
 
@@ -378,42 +404,54 @@ func runCompute(compute func() (any, error)) (v any, err error) {
 	return compute()
 }
 
-// store inserts v under k (refreshing the entry if a concurrent recompute
-// beat us to it) and applies both LRU bounds — entry count and approximate
-// resident bytes — emitting eviction events. The just-inserted entry is never
-// its own victim: a value larger than a whole shard's byte budget still
-// caches (as the shard's only resident), it just evicts everything else.
+// store inserts v under k and publishes the byte and eviction bookkeeping.
 func (c *Cache) store(s *shard, k Key, v any) {
 	nb := valBytes(v)
 	s.mu.Lock()
+	delta, evicted := s.insert(k, v, nb)
+	s.mu.Unlock()
+	c.stored(delta, evicted)
+}
+
+// insert puts v (charged nb bytes) under k, refreshing the entry if a
+// concurrent recompute beat us to it, and applies both LRU bounds — entry
+// count and approximate resident bytes. It returns the change in resident
+// bytes and the number of evictions. The just-inserted entry is never its
+// own victim: a value larger than a whole shard's byte budget still caches
+// (as the shard's only resident), it just evicts everything else. Callers
+// hold s.mu.
+func (s *shard) insert(k Key, v any, nb int) (delta, evicted int) {
 	if e, ok := s.entries[k]; ok {
-		delta := nb - e.bytes
+		delta = nb - e.bytes
 		e.val = v
 		e.bytes = nb
 		s.bytes += delta
 		e.unlink()
 		e.pushMRU(&s.lru)
-		s.mu.Unlock()
-		c.met.bytes.Add(int64(delta))
-		return
+		return delta, 0
 	}
 	e := &entry{key: k, val: v, bytes: nb}
 	s.entries[k] = e
 	s.bytes += nb
 	e.pushMRU(&s.lru)
-	evicted, freed := 0, 0
+	delta = nb
 	for (len(s.entries) > s.capacity || (s.byteCap > 0 && s.bytes > s.byteCap)) &&
 		len(s.entries) > 1 {
 		victim := s.lru.prev
 		victim.unlink()
 		delete(s.entries, victim.key)
 		s.bytes -= victim.bytes
-		freed += victim.bytes
+		delta -= victim.bytes
 		s.evictions++
 		evicted++
 	}
-	s.mu.Unlock()
-	c.met.bytes.Add(int64(nb - freed))
+	return delta, evicted
+}
+
+// stored publishes an insert's byte delta and evictions to the metrics and
+// the tracer, outside the shard lock.
+func (c *Cache) stored(delta, evicted int) {
+	c.met.bytes.Add(int64(delta))
 	if evicted > 0 {
 		c.met.evictions.Add(uint64(evicted))
 	}
@@ -432,14 +470,14 @@ func (c *Cache) Get(k Key) (any, bool) {
 	if e, ok := s.entries[k]; ok {
 		e.unlink()
 		e.pushMRU(&s.lru)
-		s.hits++
-		v := e.val // store refreshes e.val under s.mu
+		s.byKind[k.Kind].hits++
+		v := e.val // insert refreshes e.val under s.mu
 		s.mu.Unlock()
 		c.met.hits.Inc()
 		c.emit(obs.KindCacheHit)
 		return v, true
 	}
-	s.misses++
+	s.byKind[k.Kind].misses++
 	s.mu.Unlock()
 	c.met.misses.Inc()
 	c.emit(obs.KindCacheMiss)
@@ -471,10 +509,19 @@ func (c *Cache) Counters() Counters {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		t.Hits += s.hits
-		t.Misses += s.misses
+		for _, l := range s.byKind {
+			t.Hits += l.hits
+			t.Misses += l.misses
+			t.Coalesced += l.coalesced
+		}
+		b, l := s.byKind[KindBlock], s.byKind[KindLoop]
+		t.BlockHits += b.hits
+		t.BlockMisses += b.misses
+		t.BlockCoalesced += b.coalesced
+		t.LoopHits += l.hits
+		t.LoopMisses += l.misses
+		t.LoopCoalesced += l.coalesced
 		t.Evictions += s.evictions
-		t.Coalesced += s.coalesced
 		t.Recomputed += s.recomputed
 		t.Bytes += int64(s.bytes)
 		s.mu.Unlock()

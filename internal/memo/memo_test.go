@@ -183,16 +183,16 @@ func TestKeyForDistinguishesMachineAndKind(t *testing.T) {
 	m3 := machine.Superscalar(2, 4) // different unit counts
 	m4 := machine.NewMachine("renamed", m1.Units, m1.Window)
 
-	if KeyFor(g, m1, KindTrace) == KeyFor(g, m2, KindTrace) {
+	if KeyFor(g, m1, KindLoop) == KeyFor(g, m2, KindLoop) {
 		t.Fatal("window must be part of the key")
 	}
-	if KeyFor(g, m1, KindTrace) == KeyFor(g, m3, KindTrace) {
+	if KeyFor(g, m1, KindLoop) == KeyFor(g, m3, KindLoop) {
 		t.Fatal("unit counts must be part of the key")
 	}
-	if KeyFor(g, m1, KindTrace) != KeyFor(g, m4, KindTrace) {
+	if KeyFor(g, m1, KindLoop) != KeyFor(g, m4, KindLoop) {
 		t.Fatal("machine name must NOT be part of the key")
 	}
-	if KeyFor(g, m1, KindTrace) == KeyFor(g, m1, KindBlock) {
+	if KeyFor(g, m1, KindLoop) == KeyFor(g, m1, KindBlock) {
 		t.Fatal("kind must be part of the key")
 	}
 }
@@ -250,5 +250,86 @@ func TestCacheRaceHammer(t *testing.T) {
 	if uint64(s.CacheHits) != got.Hits || uint64(s.CacheMisses) != got.Misses ||
 		uint64(s.CacheEvictions) != got.Evictions || uint64(s.CacheCoalesced) != got.Coalesced {
 		t.Fatalf("obs stats diverge from counters: %+v vs %+v", s, got)
+	}
+}
+
+// gapProbe is a cached value whose first size query — made by the leader
+// after its compute returns, before the result is visible — runs a second
+// lookup of the same key and waits until that lookup has either finished
+// or parked on the in-flight computation.
+type gapProbe struct {
+	c     *Cache
+	k     Key
+	once  sync.Once
+	probe func() (any, bool, error)
+	got   chan bool // the probe lookup's hit flag
+}
+
+func (p *gapProbe) ApproxBytes() int {
+	p.once.Do(func() {
+		go func() {
+			_, hit, _ := p.probe()
+			p.got <- hit
+		}()
+		for p.c.Counters().Coalesced == 0 && len(p.got) == 0 {
+			runtime.Gosched()
+		}
+	})
+	return 0
+}
+
+// TestNoMissBetweenFlightAndEntry: a lookup that arrives after the leader's
+// compute returns but before its result is stored must be served by the
+// leader (a hit or a coalesce), never compute again. The probe lookup is
+// started from inside the leader's store path, so the interleaving is
+// deterministic.
+func TestNoMissBetweenFlightAndEntry(t *testing.T) {
+	c := New(Config{})
+	k := key(3, 1)
+	var computes atomic.Int64
+	p := &gapProbe{c: c, k: k, got: make(chan bool, 1)}
+	p.probe = func() (any, bool, error) {
+		return c.Do(k, func() (any, error) { computes.Add(1); return "probe", nil })
+	}
+	v, hit, err := c.Do(k, func() (any, error) { computes.Add(1); return p, nil })
+	if err != nil || hit || v != p {
+		t.Fatalf("leader Do: v=%v hit=%v err=%v", v, hit, err)
+	}
+	if !<-p.got {
+		t.Fatal("probe lookup was not served by the leader's result")
+	}
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("%d computes for one key, want 1", n)
+	}
+	if got := c.Counters(); got.Misses != 1 || got.Hits+got.Coalesced != 1 {
+		t.Fatalf("counters = %+v, want 1 miss and 1 hit or coalesce", got)
+	}
+}
+
+// TestCountersSplitByKind: the per-kind fields split the totals by the
+// lookup key's kind, for Do and Get alike.
+func TestCountersSplitByKind(t *testing.T) {
+	c := New(Config{})
+	do := func(kind Kind, serial int) {
+		k := key(0, serial)
+		k.Kind = kind
+		if _, _, err := c.Do(k, func() (any, error) { return serial, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	do(KindBlock, 1)
+	do(KindBlock, 1)
+	do(KindBlock, 2)
+	do(KindLoop, 1) // same fingerprint, other kind: a miss
+	do(KindLoop, 1)
+	do(KindLoop, 1)
+	c.Get(Key{Kind: KindStep})
+	got := c.Counters()
+	if got.BlockHits != 1 || got.BlockMisses != 2 || got.LoopHits != 2 || got.LoopMisses != 1 ||
+		got.BlockCoalesced != 0 || got.LoopCoalesced != 0 {
+		t.Fatalf("per-kind counters = %+v", got)
+	}
+	if got.Hits != 3 || got.Misses != 4 {
+		t.Fatalf("totals = %d hits %d misses, want 3 and 4 (the Get miss included)", got.Hits, got.Misses)
 	}
 }

@@ -41,6 +41,8 @@ var (
 		"time a batch item waited between submission and a worker picking it up")
 	mBatchItems = metrics.Default.NewCounter("aisched_batch_items_total",
 		"batch items processed by ScheduleBatch worker pools")
+	mBatchDeduped = metrics.Default.NewCounter("aisched_batch_trace_deduped_total",
+		"batch trace items served from an identical item's result in the same batch")
 	mWorkersBusy = metrics.Default.NewGauge("aisched_batch_workers_busy",
 		"batch worker-pool occupancy (items currently being scheduled)")
 	mBatchPanics = metrics.Default.NewCounter("aisched_batch_panics_total",

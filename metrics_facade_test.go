@@ -31,9 +31,10 @@ func (d snapshotDelta) histCount(name string) uint64 {
 	return metrics.Default.Snapshot().Histograms[name].Count - d.before.Histograms[name].Count
 }
 
-// batchItems builds n batch items over k distinct graphs, so a run exercises
-// cache misses, hits, and (in the parallel pool) coalescing.
-func batchItems(t *testing.T, n, k int) []BatchItem {
+// batchItems builds n batch items of one kind over k distinct graphs. Block
+// items exercise schedule-cache misses, hits, and (in the parallel pool)
+// coalescing; duplicate trace items are scheduled once per batch instead.
+func batchItems(t *testing.T, n, k int, kind BatchKind) []BatchItem {
 	t.Helper()
 	m := SingleUnit(4)
 	graphs := make([]*Graph, k)
@@ -47,19 +48,20 @@ func batchItems(t *testing.T, n, k int) []BatchItem {
 	}
 	items := make([]BatchItem, n)
 	for i := range items {
-		items[i] = BatchItem{G: graphs[i%k], M: m, Kind: BatchTrace}
+		items[i] = BatchItem{G: graphs[i%k], M: m, Kind: kind}
 	}
 	return items
 }
 
 // TestMetricsConcurrentBatch hammers the process-global registry from a
-// parallel 64-item batch — under -race this is the data-race check for the
-// striped counters, gauges, and histograms; in any mode it checks that the
-// always-on instruments actually move when the façade does work.
+// parallel 64-item batch of block requests — under -race this is the
+// data-race check for the striped counters, gauges, and histograms; in any
+// mode it checks that the always-on instruments actually move when the
+// façade does work.
 func TestMetricsConcurrentBatch(t *testing.T) {
 	d := beginDelta()
 	sc := NewScheduler(SchedulerOptions{})
-	items := batchItems(t, 64, 8)
+	items := batchItems(t, 64, 8, BatchBlock)
 	for _, r := range sc.ScheduleBatch(items) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -69,21 +71,21 @@ func TestMetricsConcurrentBatch(t *testing.T) {
 	if got := d.counter("aisched_batch_items_total"); got != 64 {
 		t.Errorf("batch items counter moved by %d, want 64", got)
 	}
-	if got := d.histCount("aisched_request_trace_ns"); got != 64 {
+	if got := d.histCount("aisched_request_block_ns"); got != 64 {
 		t.Errorf("request latency histogram recorded %d observations, want 64", got)
 	}
 	if got := d.histCount("aisched_batch_queue_wait_ns"); got != 64 {
 		t.Errorf("queue-wait histogram recorded %d observations, want 64", got)
 	}
 	cc := sc.CacheCounters()
-	if cc.Hits+cc.Coalesced == 0 {
-		t.Error("64 items over 8 graphs produced no cache hits or coalesces")
+	if cc.BlockMisses != 8 || cc.BlockHits+cc.BlockCoalesced != 56 {
+		t.Errorf("64 block items over 8 graphs: counters %+v, want 8 misses and 56 hits or coalesces", cc)
 	}
-	if d.counter("aisched_memo_hits_total")+d.counter("aisched_memo_coalesced_total") == 0 {
-		t.Error("memo metrics counters did not move with the cache")
+	if got := d.counter("aisched_memo_hits_total") + d.counter("aisched_memo_coalesced_total"); got != 56 {
+		t.Errorf("memo hit+coalesce metrics moved by %d, want 56", got)
 	}
-	if d.counter("aisched_memo_misses_total") == 0 {
-		t.Error("memo miss counter did not move")
+	if got := d.counter("aisched_memo_misses_total"); got != 8 {
+		t.Errorf("memo miss metric moved by %d, want 8", got)
 	}
 	// The worker-occupancy gauge must return to zero once the batch drains.
 	if got := metrics.Default.Snapshot().Gauges["aisched_batch_workers_busy"]; got != 0 {
@@ -96,7 +98,7 @@ func TestMetricsConcurrentBatch(t *testing.T) {
 func TestMetricsDegradation(t *testing.T) {
 	d := beginDelta()
 	sc := NewScheduler(SchedulerOptions{Budget: Budget{MaxRankPasses: 1}})
-	items := batchItems(t, 8, 8)
+	items := batchItems(t, 8, 8, BatchTrace)
 	for _, r := range sc.ScheduleBatch(items) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -132,14 +134,15 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.e+
 // returns a CPU profile.
 func TestServeDebugAcceptance(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Budget: Budget{MaxRankPasses: 1}})
-	for _, r := range sc.ScheduleBatch(batchItems(t, 16, 4)) {
+	for _, r := range sc.ScheduleBatch(batchItems(t, 16, 4, BatchTrace)) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	// A second, unbudgeted scheduler so hits/misses both exist.
+	// A second, unbudgeted scheduler over block items so schedule-cache
+	// hits and misses both exist.
 	sc2 := NewScheduler(SchedulerOptions{})
-	for _, r := range sc2.ScheduleBatch(batchItems(t, 16, 4)) {
+	for _, r := range sc2.ScheduleBatch(batchItems(t, 16, 4, BatchBlock)) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -15,9 +15,10 @@ package aisched
 // that exhausts its budget does not fail — it falls back to the cheap greedy
 // list schedule from internal/baseline (critical-path list scheduling, the
 // strongest O(n log n) baseline) and tags the result's Schedule.Degraded
-// with the reason. Degraded and cancelled results are never cached: the memo
-// layer never stores errors, and degradation happens outside the cache
-// compute. An anticipatory schedule that arrives too late is worthless; a
+// with the reason. Degraded and cancelled results are never cached or
+// shared: the memo layer never stores errors, degradation happens outside
+// the cache compute, and a batch hands a trace result to the item's
+// duplicates only when it is a full one. An anticipatory schedule that arrives too late is worthless; a
 // slightly weaker schedule that arrives on time is not.
 
 import (

@@ -402,8 +402,8 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		t.Fatalf("failed=%d ok=%d, want exactly one poisoned item", failed, ok)
 	}
 
-	// A panic deep inside the scheduler (rank pass) on the cached path is
-	// recovered by the memo layer and surfaces as a per-item error too.
+	// A panic deep inside the scheduler (rank pass) is recovered at the
+	// batch's per-item boundary and surfaces as a per-item error too.
 	faultinject.RankPass = faultinject.After(1, func() { panic("injected rank fault") })
 	sc2 := NewScheduler(SchedulerOptions{Workers: 1})
 	results = sc2.ScheduleBatch(items[:2])

@@ -131,7 +131,7 @@ func (ss *StreamScheduler) StepCacheCounters() CacheCounters {
 	if ss.stepCache == nil {
 		return CacheCounters{}
 	}
-	return ss.stepCache.Counters()
+	return CacheCounters{Counters: ss.stepCache.Counters()}
 }
 
 // Push feeds the next block and returns the blocks it finalized (often
